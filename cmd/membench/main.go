@@ -3,7 +3,7 @@
 // paths and writes machine-readable suites, and it compares two suites
 // with a benchstat-style significance test and a regression gate.
 //
-//	membench [-preset short|full] [-run regex] [-kernel name] [-json out.json]
+//	membench [-preset short|full] [-run regex] [-json out.json]
 //	         [-cpuprofile out.pprof] [-benchmem] [-list] [-q]
 //	membench compare [-max-regress frac] [-max-alloc-regress frac] [-alpha a] old.json new.json
 //
@@ -37,7 +37,6 @@ func runSuite(args []string) int {
 	runPat := fs.String("run", "", "only run benchmarks matching this regexp")
 	jsonOut := fs.String("json", "", "write the suite as JSON to this path")
 	benchmem := fs.Bool("benchmem", true, "record allocs/op and bytes/op columns")
-	kernel := fs.String("kernel", "", "force a cluster MVM kernel (generic, swar, blocked); empty = automatic")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the suite run to this path")
 	list := fs.Bool("list", false, "list benchmark names and exit")
 	quiet := fs.Bool("q", false, "suppress per-benchmark progress output")
@@ -65,7 +64,6 @@ func runSuite(args []string) int {
 			return 2
 		}
 	}
-	p.Kernel = *kernel
 	logf := func(format string, a ...any) { fmt.Printf(format, a...) }
 	if *quiet {
 		logf = nil

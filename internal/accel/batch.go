@@ -52,11 +52,7 @@ func (e *Engine) ApplyBatch(ys, xs [][]float64) {
 	// k ≡ w (mod workers). No channel, no stealing — the assignment is a
 	// pure function of the batch shape, which keeps per-RHS stats and
 	// error streams independent of scheduling.
-	pool := parallel.For
-	if e.PinWorkers {
-		pool = parallel.ForPinned
-	}
-	pool(workers, workers, func(w int) {
+	parallel.For(workers, workers, func(w int) {
 		eng := e.batchForks[w]
 		for k := w; k < len(xs); k += workers {
 			eng.reseedErrors(epoch, uint64(k))

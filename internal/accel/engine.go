@@ -36,14 +36,6 @@ type Engine struct {
 	// (<= 0 also selects the default).
 	Parallelism int
 
-	// PinWorkers pins ApplyBatch's worker goroutines to OS threads
-	// (parallel.ForPinned): each worker owns one serial engine fork whose
-	// cluster arenas are its working set, and pinning keeps that working
-	// set from migrating between cores mid-batch. Results are unaffected
-	// — ApplyBatch is bit-identical with pinning on or off — so this is a
-	// pure scheduling knob; forks inherit it.
-	PinWorkers bool
-
 	// outs and applyErrs are the per-cluster fan-out scratch for
 	// applyParallel, hoisted out of the per-call path (Apply runs once
 	// per solver iteration; the solver loop should not allocate here).
@@ -230,7 +222,7 @@ func (e *Engine) applyParallel(y, x []float64) {
 // itself), which is how the serving layer's engine cache runs parallel
 // requests against one programmed matrix.
 func (e *Engine) Fork() *Engine {
-	n := &Engine{plan: e.plan, cfg: e.cfg, seedBase: e.seedBase, Parallelism: e.Parallelism, PinWorkers: e.PinWorkers}
+	n := &Engine{plan: e.plan, cfg: e.cfg, seedBase: e.seedBase, Parallelism: e.Parallelism}
 	// The fork inherits the refresh policy (policies are immutable after
 	// SetRefreshPolicy) and the scenario clock, so serving-layer forks
 	// self-heal their private clusters the same way the origin would.

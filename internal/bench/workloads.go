@@ -46,22 +46,6 @@ func All() []Benchmark {
 	}
 }
 
-// clusterConfig is DefaultClusterConfig with the preset's forced kernel
-// applied — every engine-backed workload builds its config here so the
-// -kernel knob reaches all of them.
-func clusterConfig(p Preset) core.ClusterConfig {
-	cfg := core.DefaultClusterConfig()
-	cfg.Kernel = p.Kernel
-	return cfg
-}
-
-// reducedConfig is ReducedSliceConfig under the same kernel force.
-func reducedConfig(p Preset, bits int) core.ClusterConfig {
-	cfg := core.ReducedSliceConfig(bits)
-	cfg.Kernel = p.Kernel
-	return cfg
-}
-
 // engineSpec pins the banded system programmed into the functional
 // engine. Seeds are fixed: the generated matrix, the blocking plan and
 // the programmed planes are identical on every run at a given preset.
@@ -96,7 +80,7 @@ func setupEngineProgram(p Preset) (*Instance, error) {
 	var eng *accel.Engine
 	return &Instance{
 		Run: func() error {
-			e, err := accel.NewEngine(plan, clusterConfig(p), 1)
+			e, err := accel.NewEngine(plan, core.DefaultClusterConfig(), 1)
 			if err != nil {
 				return err
 			}
@@ -120,7 +104,7 @@ func setupEngineApply(p Preset, workers int) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := accel.NewEngine(plan, clusterConfig(p), 1)
+	eng, err := accel.NewEngine(plan, core.DefaultClusterConfig(), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +149,7 @@ func setupEngineApplyBatch(p Preset) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := accel.NewEngine(plan, clusterConfig(p), 1)
+	eng, err := accel.NewEngine(plan, core.DefaultClusterConfig(), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +258,7 @@ func setupAccelSolve(p Preset) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := accel.NewEngine(plan, clusterConfig(p), 1)
+	eng, err := accel.NewEngine(plan, core.DefaultClusterConfig(), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +305,7 @@ func setupAccelRefine(p Preset) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := accel.NewEngine(plan, reducedConfig(p, 8), 1)
+	eng, err := accel.NewEngine(plan, core.ReducedSliceConfig(8), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +357,7 @@ func cacheMatrix(p Preset) *sparse.CSR {
 // performs HitBatch acquisitions and samples are ns per acquisition.
 func setupCacheHit(p Preset) (*Instance, error) {
 	m := cacheMatrix(p)
-	c := serve.NewCache(serve.CacheConfig{}, clusterConfig(p), 1)
+	c := serve.NewCache(serve.CacheConfig{}, core.DefaultClusterConfig(), 1)
 	ctx := context.Background()
 	l, err := c.Acquire(ctx, m) // program once; every timed acquire hits
 	if err != nil {
@@ -412,7 +396,7 @@ func setupCacheHit(p Preset) (*Instance, error) {
 func setupCacheMiss(p Preset) (*Instance, error) {
 	m := cacheMatrix(p)
 	base := m.Vals[0]
-	c := serve.NewCache(serve.CacheConfig{MaxClusters: 1 << 30}, clusterConfig(p), 1)
+	c := serve.NewCache(serve.CacheConfig{MaxClusters: 1 << 30}, core.DefaultClusterConfig(), 1)
 	ctx := context.Background()
 	seq := 0
 	return &Instance{

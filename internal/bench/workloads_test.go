@@ -112,40 +112,6 @@ func TestRunSuiteFilter(t *testing.T) {
 	}
 }
 
-// TestKernelForce runs one engine workload under each forced kernel:
-// the force must reach the clusters (a bogus name fails setup), the
-// deterministic workload observables must match the automatic choice,
-// and the suite must record which kernel it measured.
-func TestKernelForce(t *testing.T) {
-	filter := regexp.MustCompile(`^engine/apply/serial$`)
-	base, err := RunSuite(tiny, filter, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kernel := range []string{"generic", "swar", "blocked"} {
-		p := tiny
-		p.Kernel = kernel
-		s, err := RunSuite(p, filter, nil)
-		if err != nil {
-			t.Fatalf("kernel %s: %v", kernel, err)
-		}
-		if s.Kernel != kernel {
-			t.Fatalf("suite recorded kernel %q, want %q", s.Kernel, kernel)
-		}
-		got, want := s.Results[0].Metrics, base.Results[0].Metrics
-		for key := range DeterministicMetrics {
-			if got[key] != want[key] {
-				t.Fatalf("kernel %s: deterministic metric %s = %v, auto = %v", kernel, key, got[key], want[key])
-			}
-		}
-	}
-	p := tiny
-	p.Kernel = "vectorized"
-	if _, err := RunSuite(p, filter, nil); err == nil {
-		t.Fatal("unknown kernel name accepted")
-	}
-}
-
 func TestPresetByName(t *testing.T) {
 	for _, name := range []string{"short", "full"} {
 		p, err := PresetByName(name)

@@ -39,11 +39,6 @@ type ClusterConfig struct {
 	MaxCorrectCount int
 	// VectorMaxPad bounds vector-segment alignment padding.
 	VectorMaxPad int
-	// ReferenceMVM selects the retained big.Int MulVec implementation
-	// instead of the allocation-free fixed-width one. The two are
-	// bit-identical (enforced by golden equivalence tests); the reference
-	// path exists as the semantic oracle, not as a fallback.
-	ReferenceMVM bool
 	// MatrixQuant reduces the stored matrix encoding for mixed-precision
 	// operation. The cluster itself programs whatever Block it is handed;
 	// this field is the contract that the block was built with the same
@@ -54,13 +49,6 @@ type ClusterConfig struct {
 	// applications per MulVec, hence fewer ADC conversions. The zero
 	// value is the exact scheme.
 	VectorQuant Quant
-	// Kernel forces the MVM kernel variant: KernelAuto (the empty
-	// string, selecting per cluster at NewCluster time), KernelGeneric,
-	// KernelSWAR or KernelBlocked (see kernel.go). All variants are
-	// bit-identical in outputs and statistics; the knob exists for
-	// benchmarks and the kernel equivalence tests. KernelBlocked
-	// requires InjectErrors=false.
-	Kernel string
 }
 
 // DefaultClusterConfig returns the paper's evaluation configuration:
@@ -227,12 +215,10 @@ type Cluster struct {
 	// summation growth); it sizes both redWords and the arena.
 	sumBits int
 
-	// kern is the MVM kernel variant selected at NewCluster (kernel.go);
-	// decWords its decode-width specialization (1 = single 64-bit word,
-	// 2 = 128-bit pair, 0 = generic multi-word); packed the interleaved
-	// SWAR mirror of the planes (nil for the generic kernel), immutable
-	// after NewCluster and shared by forks like the planes.
-	kern     kernelKind
+	// decWords is the decode-width specialization fixed at NewCluster
+	// (1 = single 64-bit word, 2 = 128-bit pair, 0 = multi-word; see
+	// kernel.go); packed the interleaved SWAR mirror of the planes,
+	// immutable after NewCluster and shared by forks like the planes.
 	decWords int
 	packed   *packedPlanes
 
@@ -331,11 +317,14 @@ func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
 	// Reduction accumulator: coded bits plus the summation growth.
 	c.redWords = make([]big.Word, (c.sumBits+64+63)/64)
 	c.initArena()
-	if err := c.selectKernel(); err != nil {
-		return nil, err
-	}
+	c.decWords = c.reductionWords()
+	c.buildPacked()
 	return c, nil
 }
+
+// bigAN is ancode.A as a big.Int, the AN-code multiplier applied to
+// every programmed operand.
+var bigAN = big.NewInt(ancode.A)
 
 // addShifted adds v·2^shift into a little-endian word accumulator. The
 // accumulator must be sized so the result fits: the value lands in words
@@ -409,7 +398,6 @@ func (c *Cluster) Fork() *Cluster {
 		sumBits:   c.sumBits,
 		redWords:  make([]big.Word, len(c.redWords)),
 		age:       c.age,
-		kern:      c.kern,
 		decWords:  c.decWords,
 		packed:    c.packed,
 	}
@@ -488,32 +476,49 @@ func (c *Cluster) Stats() *ComputeStats { return &c.stats }
 //
 // The returned slice is owned by the cluster's scratch arena and is
 // overwritten by the next MulVec call; callers that retain results
-// across calls use MulVecInto. (The reference path allocates a fresh
-// slice, but callers must not rely on that.)
+// across calls use MulVecInto.
 func (c *Cluster) MulVec(x []float64) ([]float64, error) {
-	var (
-		y   []float64
-		err error
-	)
-	if c.cfg.ReferenceMVM {
-		y, err = c.mulVecRef(x)
-	} else {
-		switch c.kern {
-		case kernSWAR:
-			y, err = c.mulVecSWAR(x)
-		case kernBlocked:
-			y, err = c.mulVecBlocked(x)
-		default:
-			y, err = c.mulVecFix(x)
-		}
-	}
+	y, err := c.mulVec(x)
 	if c.arr != nil {
 		// Fold the ADC saturation events of this call into the hardware
-		// counters; both MVM paths share the sampler, so the accounting
-		// is identical on either.
+		// counters.
 		c.stats.SaturationClamps += c.arr.TakeClamps()
 	}
 	return y, err
+}
+
+// mulVec is the prologue both traversals share — operand checks, vector
+// slicing into the arena, the per-call stats reset and the zero-product
+// short cut — followed by the traversal for this configuration: the
+// slice-major mulVecSWAR under error injection, whose draw order is the
+// reference one, and the row-major mulVecBlocked otherwise (kernel.go).
+func (c *Cluster) mulVec(x []float64) ([]float64, error) {
+	b := c.block
+	if len(x) != b.N {
+		return nil, fmt.Errorf("core: vector length %d != block cols %d", len(x), b.N)
+	}
+	ar := &c.arena
+	if err := SliceVectorQuantInto(&ar.vs, x, c.cfg.VectorMaxPad, c.cfg.VectorQuant); err != nil {
+		return nil, err
+	}
+	c.stats.Ops++
+	c.resetPerCall()
+
+	y := ar.y
+	if ar.vs.Code.Empty || b.Code.Empty {
+		for i := range y {
+			y[i] = 0
+		}
+		return y, nil // zero vector or zero block
+	}
+	scale := CombinedScale(b.Code, ar.vs.Code)
+	c.stats.VectorSlicesTotal += ar.vs.Width
+	if c.cfg.InjectErrors {
+		c.mulVecSWAR(y, scale)
+	} else {
+		c.mulVecBlocked(y, scale)
+	}
+	return y, nil
 }
 
 // MulVecInto is MulVec writing into a caller-owned destination of

@@ -1,13 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"math/big"
 
 	"memsci/internal/ancode"
 )
 
-// mvArena is the per-cluster scratch for the fixed-width MVM hot path:
+// mvArena is the per-cluster scratch for the fixed-width MVM:
 // everything a MulVec call needs beyond the programmed planes, sized
 // once at NewCluster and reused by every call. A cluster owns exactly
 // one arena and never shares it; Fork allocates a fresh one, so forks
@@ -81,102 +80,11 @@ func (c *Cluster) initArena() {
 	a.xws = make([][]uint64, maxVecWidth)
 }
 
-// mulVecFix is the allocation-free MulVec: the same §III-B pipeline as
-// mulVecRef, step for step, with every big.Int replaced by arena-owned
-// fixed-width storage. Equivalence is structural — each replacement
-// computes the identical integer (and is property-tested to) — and
-// enforced end to end by the golden tests against ReferenceMVM.
-func (c *Cluster) mulVecFix(x []float64) ([]float64, error) {
-	b := c.block
-	if len(x) != b.N {
-		return nil, fmt.Errorf("core: vector length %d != block cols %d", len(x), b.N)
-	}
-	ar := &c.arena
-	if err := SliceVectorQuantInto(&ar.vs, x, c.cfg.VectorMaxPad, c.cfg.VectorQuant); err != nil {
-		return nil, err
-	}
-	vs := &ar.vs
-	c.stats.Ops++
-	c.resetPerCall()
-
-	y := ar.y
-	for i := range y {
-		y[i] = 0
-	}
-	if vs.Code.Empty || b.Code.Empty {
-		return y, nil // zero vector or zero block
-	}
-	scale := CombinedScale(b.Code, vs.Code)
-	c.stats.VectorSlicesTotal += vs.Width
-	c.stats.MinSettleSlice = vs.Width
-
-	run := ar.run
-	for i := range run {
-		run[i].SetZero()
-	}
-	settled := ar.settled
-	for i := range settled {
-		settled[i] = false
-	}
-	unsettled := b.M
-
-	applied := 0
-	for j := vs.Width - 1; j >= 0 && unsettled > 0; j-- {
-		slice := vs.Slices[j]
-		popX := vs.Pop[j]
-		applied++
-		c.stats.VectorSlicesApplied++
-		c.stats.CrossbarActivations += uint64(c.nPlanes)
-		c.stats.MinSettleSlice = j
-
-		if popX == 0 {
-			// An all-zero slice contributes nothing but still counts as a
-			// (cheap) application; settled columns are re-checked below
-			// because the remaining-weight bound shrank.
-			c.checkSettleFix(&unsettled, y, j, scale, applied)
-			continue
-		}
-		// De-bias term B·pop(x_j): the bias is 2^Width, so the product
-		// is a pure shift of the popcount.
-		ar.biased.SetUint(uint64(popX))
-		ar.biased.Lsh(uint(b.Code.Width))
-		negWeight := vs.Weight(j)
-
-		for i := 0; i < b.M; i++ {
-			if settled[i] {
-				c.stats.ConversionsSkipped += uint64(c.nPlanes)
-				continue
-			}
-			// Shift-and-add reduction across planes: counts land at bit
-			// position plane·bitsPerCell, accumulated in raw words.
-			for w := range c.redWords {
-				c.redWords[w] = 0
-			}
-			for t := 0; t < c.nPlanes; t++ {
-				res := c.planes[t].Column(i, slice, popX, c.arr, c.adc)
-				c.stats.Conversions++
-				c.stats.ConversionBits += uint64(res.BitsConverted)
-				addShifted(c.redWords, uint(t*c.planeBits), uint64(res.Count))
-			}
-			c.decodeAccumulate(i, j, popX, negWeight)
-		}
-		c.checkSettleFix(&unsettled, y, j, scale, applied)
-	}
-	// Anything still unsettled after the last slice is exact.
-	for i := 0; i < b.M; i++ {
-		if !settled[i] {
-			y[i] = run[i].Round(scale, c.cfg.Rounding)
-			c.stats.ColumnSlicesUsed[i] = vs.Width
-		}
-	}
-	return y, nil
-}
-
-// decodeAccumulate is the generic decode of one (row, slice) reduction
-// accumulated in c.redWords: AN check (and rare table correction),
-// de-bias against the prepared ar.biased term, and signed accumulation
-// into row i's running sum. Shared verbatim by the generic kernel's
-// inner loop and the packed kernels' multi-word and correction paths.
+// decodeAccumulate is the multi-word decode of one (row, slice)
+// reduction accumulated in c.redWords: AN check (and rare table
+// correction), de-bias against the term B·pop(x_j), and signed
+// accumulation into row i's running sum. It serves the multi-word decode
+// tier and the AN correction path of the 64- and 128-bit tiers.
 func (c *Cluster) decodeAccumulate(i, j, popX int, negWeight bool) {
 	ar := &c.arena
 	// AN decode: P = A·Σ U·x must be divisible by A. Copy the
@@ -201,7 +109,10 @@ func (c *Cluster) decodeAccumulate(i, j, popX int, negWeight bool) {
 		}
 	}
 	// De-bias: D = Q − B·pop(x_j) = Σ F·x_j, then accumulate with
-	// the slice weight ±2^j.
+	// the slice weight ±2^j. The bias is 2^Width, so B·pop(x_j) is a
+	// pure shift of the popcount.
+	ar.biased.SetUint(uint64(popX))
+	ar.biased.Lsh(uint(c.block.Code.Width))
 	ar.contrib.SetFix(&ar.q)
 	ar.contrib.Sub(&ar.biased)
 	ar.contrib.Lsh(uint(j))
@@ -229,9 +140,11 @@ func (c *Cluster) rowSettled(i, j, scale int) (float64, bool) {
 	return ar.lo.RoundMonotone(&ar.hi, scale, c.cfg.Rounding)
 }
 
-// checkSettleFix applies the early-termination test of checkSettleRef to
-// every unsettled row (the slice-major kernels' per-slice sweep).
-func (c *Cluster) checkSettleFix(unsettled *int, y []float64, j, scale, applied int) {
+// checkSettle applies the early-termination test to every unsettled row
+// after slice j (the slice-major kernel's per-slice sweep): remaining
+// slices all carry positive weights summing to 2^j − 1, and each
+// remaining partial dot product lies in [RowNeg_i, RowPos_i].
+func (c *Cluster) checkSettle(unsettled *int, y []float64, j, scale, applied int) {
 	if c.cfg.DisableEarlyTermination || j == 0 {
 		return
 	}

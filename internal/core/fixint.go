@@ -17,9 +17,8 @@ import (
 // place on that storage and perform zero heap allocations once the
 // backing slices have reached steady-state capacity. math/big is still
 // the semantic reference: every operation is property-tested against
-// the equivalent big.Int computation, and the cluster keeps a retained
-// big.Int MulVec path (ClusterConfig.ReferenceMVM) for bit-equivalence
-// golden tests.
+// the equivalent big.Int computation, and the cluster's tests keep a
+// big.Int MulVec as the oracle for bit-equivalence golden tests.
 
 // wordBits is the size of a big.Word in bits (64 on every platform the
 // module targets; the kernel also handles 32-bit words).

@@ -1,124 +1,65 @@
 package core
 
 import (
-	"fmt"
 	"math/big"
 	"math/bits"
 
 	"memsci/internal/ancode"
 )
 
-// This file implements the specialized MVM kernels: a packed interleaved
+// This file implements the cluster MVM kernels: a packed interleaved
 // mirror of the programmed planes (built once at NewCluster and shared
-// by forks, like the planes themselves), a slice-major SWAR kernel that
-// fuses the per-plane column popcounts of one (row, slice) pair into a
-// single pass over packed words, and a row-major cache-blocked kernel
-// that keeps one output row's packed words and running sum resident
-// across all of its vector slices. Both use one- or two-word shift-add,
-// AN-divide and de-bias arithmetic when the cluster's reduction bound
-// allows, falling back to the generic multi-word path otherwise.
+// by forks, like the planes themselves), one per-(row, slice) step that
+// fuses the per-plane column popcounts of that pair into a single pass
+// over packed words, and two traversals of that step. The row-major
+// cache-blocked traversal keeps one output row's packed words and
+// running sum resident across all of its vector slices; the slice-major
+// traversal consumes the stochastic error draws in the reference order
+// and therefore runs under error injection. The step uses one- or
+// two-word shift-add, AN-divide and de-bias arithmetic when the
+// cluster's reduction bound allows, and the multi-word path otherwise.
 //
-// Every kernel is bit-identical to the generic loop in cluster_fix.go
-// (and hence to the big.Int reference of cluster_ref.go) in outputs and
-// statistics; the golden equivalence suite and the kernel property tests
-// enforce this across rounding modes, AN, early termination, CIC,
-// multi-bit cells and error injection.
+// Both traversals are bit-identical in outputs and statistics to the
+// big.Int reference MulVec kept as a test oracle; the golden equivalence
+// suite and the kernel property tests enforce this across rounding
+// modes, AN, early termination, CIC, multi-bit cells and error
+// injection, and check the exact-arithmetic cases against an exactly
+// rounded dot product over the raw float64 operands.
 
-// kernelKind is the dispatch tag selected once at NewCluster, replacing
-// per-call (and per-row) feature branching in the hot path.
-type kernelKind uint8
-
-const (
-	kernGeneric kernelKind = iota
-	kernSWAR
-	kernBlocked
-)
-
-// ClusterConfig.Kernel force-knob values.
-const (
-	// KernelAuto (the empty string) selects blocked without error
-	// injection and swar with it.
-	KernelAuto = ""
-	// KernelGeneric forces the scalar per-plane loop of cluster_fix.go.
-	KernelGeneric = "generic"
-	// KernelSWAR forces the packed slice-major kernel.
-	KernelSWAR = "swar"
-	// KernelBlocked forces the packed row-major kernel (requires
-	// InjectErrors=false).
-	KernelBlocked = "blocked"
-)
-
-// selectKernel resolves ClusterConfig.Kernel into a concrete kernel and
-// decode-width specialization for this cluster's static shape. Called at
-// the end of NewCluster; forks inherit the selection.
-func (c *Cluster) selectKernel() error {
-	// Decode-width specialization: the per-(row, slice) reduction is
-	// Σ_t count_t·2^(t·planeBits) with count_t ≤ N·(2^B − 1) — the
-	// device model clamps noisy readouts to the same physical rail — so
-	// the exact bound is N·(2^B − 1)·(2^(nPlanes·B) − 1)/(2^B − 1).
-	// With multi-bit cells this can exceed 2^sumBits, so the gate uses
-	// the geometric bound, not sumBits. The narrow paths build words
-	// with 64-bit two-word arithmetic and therefore also require 64-bit
-	// big.Words.
-	c.decWords = 0
-	if wordBits == 64 {
-		lmax := int64(1)<<c.planeBits - 1
-		maxRed := new(big.Int).Lsh(big.NewInt(1), uint(c.nPlanes*c.planeBits))
-		maxRed.Sub(maxRed, big.NewInt(1))
-		maxRed.Div(maxRed, big.NewInt(lmax)) // exact: B divides nPlanes·B
-		maxRed.Mul(maxRed, big.NewInt(int64(c.block.N)*lmax))
-		switch {
-		case maxRed.BitLen() <= 64:
-			c.decWords = 1
-		case maxRed.BitLen() <= 128:
-			c.decWords = 2
-		}
+// reductionWords returns the decode-width specialization for this
+// cluster's static shape: 1 for a single 64-bit word, 2 for a 128-bit
+// pair, 0 for the multi-word path. The per-(row, slice) reduction is
+// Σ_t count_t·2^(t·planeBits) with count_t ≤ N·(2^B − 1) — the device
+// model clamps noisy readouts to the same physical rail — so the exact
+// bound is N·(2^B − 1)·(2^(nPlanes·B) − 1)/(2^B − 1). With multi-bit
+// cells this can exceed 2^sumBits, so the gate uses the geometric bound,
+// not sumBits. The narrow paths build words with 64-bit two-word
+// arithmetic and therefore also require 64-bit big.Words.
+func (c *Cluster) reductionWords() int {
+	if wordBits != 64 {
+		return 0
 	}
-	switch c.cfg.Kernel {
-	case KernelGeneric:
-		c.kern = kernGeneric
-	case KernelSWAR:
-		c.kern = kernSWAR
-	case KernelBlocked:
-		if c.cfg.InjectErrors {
-			return fmt.Errorf("core: kernel %q requires InjectErrors=false: its row-major traversal reorders the per-plane stochastic draws", c.cfg.Kernel)
-		}
-		c.kern = kernBlocked
-	case KernelAuto:
-		// The row-major kernel wins on cache locality but permutes the
-		// stochastic draw order across rows; under injection the
-		// slice-major kernel consumes the draw stream in exactly the
-		// reference order.
-		if c.cfg.InjectErrors {
-			c.kern = kernSWAR
-		} else {
-			c.kern = kernBlocked
-		}
-	default:
-		return fmt.Errorf("core: unknown kernel %q (want %q, %q, %q or auto)",
-			c.cfg.Kernel, KernelGeneric, KernelSWAR, KernelBlocked)
+	lmax := int64(1)<<c.planeBits - 1
+	maxRed := new(big.Int).Lsh(big.NewInt(1), uint(c.nPlanes*c.planeBits))
+	maxRed.Sub(maxRed, big.NewInt(1))
+	maxRed.Div(maxRed, big.NewInt(lmax)) // exact: B divides nPlanes·B
+	maxRed.Mul(maxRed, big.NewInt(int64(c.block.N)*lmax))
+	switch {
+	case maxRed.BitLen() <= 64:
+		return 1
+	case maxRed.BitLen() <= 128:
+		return 2
 	}
-	if c.kern != kernGeneric && !c.cfg.ReferenceMVM {
-		c.buildPacked()
-	}
-	return nil
+	return 0
 }
 
-// KernelName reports the MVM kernel variant selected for this cluster
-// with its decode width (e.g. "blocked/128", "swar/64", "generic",
-// "reference") — diagnostics for benchmarks and equivalence tests.
+// KernelName reports the MVM traversal this cluster runs with its decode
+// width (e.g. "blocked/128", "swar/64", "blocked/multi") — diagnostics
+// for benchmarks and equivalence tests.
 func (c *Cluster) KernelName() string {
-	if c.cfg.ReferenceMVM {
-		return "reference"
-	}
-	var base string
-	switch c.kern {
-	case kernSWAR:
-		base = KernelSWAR
-	case kernBlocked:
-		base = KernelBlocked
-	default:
-		return KernelGeneric
+	base := "blocked"
+	if c.cfg.InjectErrors {
+		base = "swar"
 	}
 	switch c.decWords {
 	case 1:
@@ -380,8 +321,7 @@ func (c *Cluster) reduce128() (hi, lo uint64) {
 }
 
 // reduceWords is the multi-word fallback: per-plane counts shift-added
-// into the cluster's raw reduction accumulator, as the generic kernel
-// does plane by plane.
+// into the cluster's raw reduction accumulator.
 func (c *Cluster) reduceWords() {
 	for w := range c.redWords {
 		c.redWords[w] = 0
@@ -393,8 +333,8 @@ func (c *Cluster) reduceWords() {
 }
 
 // apply64 decodes one single-word reduction and accumulates its signed
-// de-biased contribution into row i's running sum: the specialized form
-// of the generic AN-divide / de-bias / shift-add sequence.
+// de-biased contribution into row i's running sum: the single-word form
+// of decodeAccumulate's AN-divide / de-bias / shift-add sequence.
 func (c *Cluster) apply64(i, j, popX int, negWeight bool, red uint64) {
 	ar := &c.arena
 	q, rem := red/ancode.A, red%ancode.A
@@ -463,59 +403,56 @@ func (c *Cluster) apply128(i, j, popX int, negWeight bool, hi, lo uint64) {
 }
 
 // applySlow routes a nonzero AN syndrome (reachable only under error
-// injection) through the generic correction decode: the raw reduction is
-// re-materialized into redWords and handed to decodeAccumulate, which
-// runs the table corrector exactly as the generic kernel would.
+// injection) through the multi-word correction decode: the raw reduction
+// is re-materialized into redWords and handed to decodeAccumulate, which
+// runs the table corrector.
 func (c *Cluster) applySlow(i, j, popX int, negWeight bool, hi, lo uint64) {
-	ar := &c.arena
 	for w := range c.redWords {
 		c.redWords[w] = 0
 	}
 	c.redWords[0] = big.Word(lo)
 	c.redWords[1] = big.Word(hi)
-	ar.biased.SetUint(uint64(popX))
-	ar.biased.Lsh(uint(c.block.Code.Width))
 	c.decodeAccumulate(i, j, popX, negWeight)
 }
 
-// mulVecSWAR is the slice-major packed kernel: the exact traversal order
-// of mulVecFix — vector slices outer (most significant first), output
-// rows inner, settle checks after every slice — with each row's per-plane
-// column popcounts fused into one pass over the interleaved packed words
-// and the decode specialized to the cluster's reduction width. Under
-// error injection it consumes the stochastic draw stream in the
-// reference order, so it is valid (and selected) for InjectErrors runs.
-func (c *Cluster) mulVecSWAR(x []float64) ([]float64, error) {
-	b := c.block
-	if len(x) != b.N {
-		return nil, fmt.Errorf("core: vector length %d != block cols %d", len(x), b.N)
+// rowSlice is the per-(row, slice) step both traversals share: the
+// fused lane popcounts of output row i against slice j's words xw,
+// per-plane decoded counts (through the error model when injecting),
+// the conversion statistics, and the decode-width-specialized AN divide,
+// de-bias and accumulation into row i's running sum. capIdx is
+// Len(popX·lmax), ignored when headstart is off.
+func (c *Cluster) rowSlice(i, j, popX, capIdx int, negWeight bool, xw []uint64) {
+	c.countLanes(i, xw)
+	c.planeCounts(i, popX, xw)
+	c.stats.Conversions += uint64(c.nPlanes)
+	c.stats.ConversionBits += c.rowConvBits(i, capIdx)
+	switch c.decWords {
+	case 1:
+		c.apply64(i, j, popX, negWeight, c.reduce64())
+	case 2:
+		hi, lo := c.reduce128()
+		c.apply128(i, j, popX, negWeight, hi, lo)
+	default:
+		c.reduceWords()
+		c.decodeAccumulate(i, j, popX, negWeight)
 	}
-	ar := &c.arena
-	if err := SliceVectorQuantInto(&ar.vs, x, c.cfg.VectorMaxPad, c.cfg.VectorQuant); err != nil {
-		return nil, err
-	}
-	vs := &ar.vs
-	c.stats.Ops++
-	c.resetPerCall()
+}
 
-	y := ar.y
-	for i := range y {
-		y[i] = 0
-	}
-	if vs.Code.Empty || b.Code.Empty {
-		return y, nil
-	}
-	scale := CombinedScale(b.Code, vs.Code)
-	c.stats.VectorSlicesTotal += vs.Width
+// mulVecSWAR is the slice-major traversal: vector slices outer (most
+// significant first), output rows inner, settle checks after every
+// slice. It consumes the stochastic draw stream in the reference order,
+// so it is the traversal MulVec runs under error injection.
+func (c *Cluster) mulVecSWAR(y []float64, scale int) {
+	b := c.block
+	ar := &c.arena
+	vs := &ar.vs
 	c.stats.MinSettleSlice = vs.Width
 
-	run := ar.run
-	for i := range run {
-		run[i].SetZero()
+	for i := range ar.run {
+		ar.run[i].SetZero()
 	}
-	settled := ar.settled
-	for i := range settled {
-		settled[i] = false
+	for i := range ar.settled {
+		ar.settled[i] = false
 	}
 	unsettled := b.M
 
@@ -528,52 +465,36 @@ func (c *Cluster) mulVecSWAR(x []float64) ([]float64, error) {
 		c.stats.CrossbarActivations += uint64(c.nPlanes)
 		c.stats.MinSettleSlice = j
 
-		if popX == 0 {
-			c.checkSettleFix(&unsettled, y, j, scale, applied)
-			continue
-		}
-		xw := vs.Slices[j].Words()
-		negWeight := vs.Weight(j)
-		capIdx := 0
-		if c.adc.Headstart {
-			capIdx = bits.Len(uint(popX * lmax))
-		}
-		if c.decWords == 0 {
-			ar.biased.SetUint(uint64(popX))
-			ar.biased.Lsh(uint(b.Code.Width))
-		}
-		for i := 0; i < b.M; i++ {
-			if settled[i] {
-				c.stats.ConversionsSkipped += uint64(c.nPlanes)
-				continue
+		// An all-zero slice contributes nothing but still counts as a
+		// (cheap) application; settled rows are re-checked below because
+		// the remaining-weight bound shrank.
+		if popX != 0 {
+			xw := vs.Slices[j].Words()
+			negWeight := vs.Weight(j)
+			capIdx := 0
+			if c.adc.Headstart {
+				capIdx = bits.Len(uint(popX * lmax))
 			}
-			c.countLanes(i, xw)
-			c.planeCounts(i, popX, xw)
-			c.stats.Conversions += uint64(c.nPlanes)
-			c.stats.ConversionBits += c.rowConvBits(i, capIdx)
-			switch c.decWords {
-			case 1:
-				c.apply64(i, j, popX, negWeight, c.reduce64())
-			case 2:
-				hi, lo := c.reduce128()
-				c.apply128(i, j, popX, negWeight, hi, lo)
-			default:
-				c.reduceWords()
-				c.decodeAccumulate(i, j, popX, negWeight)
+			for i := 0; i < b.M; i++ {
+				if ar.settled[i] {
+					c.stats.ConversionsSkipped += uint64(c.nPlanes)
+					continue
+				}
+				c.rowSlice(i, j, popX, capIdx, negWeight, xw)
 			}
 		}
-		c.checkSettleFix(&unsettled, y, j, scale, applied)
+		c.checkSettle(&unsettled, y, j, scale, applied)
 	}
+	// Anything still unsettled after the last slice is exact.
 	for i := 0; i < b.M; i++ {
-		if !settled[i] {
-			y[i] = run[i].Round(scale, c.cfg.Rounding)
+		if !ar.settled[i] {
+			y[i] = ar.run[i].Round(scale, c.cfg.Rounding)
 			c.stats.ColumnSlicesUsed[i] = vs.Width
 		}
 	}
-	return y, nil
 }
 
-// mulVecBlocked is the row-major cache-blocked packed kernel: one output
+// mulVecBlocked is the row-major cache-blocked traversal: one output
 // row's packed words (nPlanes·bitsPerCell contiguous uint64 lanes per
 // input word) and running sum stay L1-resident while all of its vector
 // slices are applied, instead of streaming the whole M-row mirror once
@@ -583,31 +504,13 @@ func (c *Cluster) mulVecSWAR(x []float64) ([]float64, error) {
 // settle cutoff) are reconstructed exactly from the per-row settle points
 // by VerticalSettleStats. The traversal reorders only commutative
 // integer additions and stats increments, so outputs and statistics are
-// bit-identical to the generic kernel; stochastic error draws would NOT
-// commute, which is why selectKernel rejects InjectErrors here.
-func (c *Cluster) mulVecBlocked(x []float64) ([]float64, error) {
+// bit-identical to the slice-major one; stochastic error draws would NOT
+// commute, which is why MulVec runs it only without error injection.
+func (c *Cluster) mulVecBlocked(y []float64, scale int) {
 	b := c.block
-	if len(x) != b.N {
-		return nil, fmt.Errorf("core: vector length %d != block cols %d", len(x), b.N)
-	}
 	ar := &c.arena
-	if err := SliceVectorQuantInto(&ar.vs, x, c.cfg.VectorMaxPad, c.cfg.VectorQuant); err != nil {
-		return nil, err
-	}
 	vs := &ar.vs
-	c.stats.Ops++
-	c.resetPerCall()
-
-	y := ar.y
-	for i := range y {
-		y[i] = 0
-	}
-	if vs.Code.Empty || b.Code.Empty {
-		return y, nil
-	}
-	scale := CombinedScale(b.Code, vs.Code)
 	W := vs.Width
-	c.stats.VectorSlicesTotal += W
 
 	// Hoist the per-slice state the row-major loop revisits M times:
 	// slice word spans, headstart table indices, and the nonzero-popcount
@@ -642,25 +545,8 @@ func (c *Cluster) mulVecBlocked(x []float64) ([]float64, error) {
 		settleAt := 0
 		done := false
 		for j := W - 1; j >= 0; j-- {
-			popX := vs.Pop[j]
-			if popX != 0 {
-				negWeight := vs.Weight(j)
-				c.countLanes(i, xws[j])
-				c.planeCounts(i, popX, xws[j])
-				c.stats.Conversions += uint64(c.nPlanes)
-				c.stats.ConversionBits += c.rowConvBits(i, capIdx[j])
-				switch c.decWords {
-				case 1:
-					c.apply64(i, j, popX, negWeight, c.reduce64())
-				case 2:
-					hi, lo := c.reduce128()
-					c.apply128(i, j, popX, negWeight, hi, lo)
-				default:
-					c.reduceWords()
-					ar.biased.SetUint(uint64(popX))
-					ar.biased.Lsh(uint(b.Code.Width))
-					c.decodeAccumulate(i, j, popX, negWeight)
-				}
+			if popX := vs.Pop[j]; popX != 0 {
+				c.rowSlice(i, j, popX, capIdx[j], vs.Weight(j), xws[j])
 			}
 			if et && j > 0 {
 				if v, ok := c.rowSettled(i, j, scale); ok {
@@ -684,5 +570,4 @@ func (c *Cluster) mulVecBlocked(x []float64) ([]float64, error) {
 	c.stats.VectorSlicesApplied += applied
 	c.stats.CrossbarActivations += uint64(applied) * uint64(c.nPlanes)
 	c.stats.ConversionsSkipped += skipped * uint64(c.nPlanes)
-	return y, nil
 }

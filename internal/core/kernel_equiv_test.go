@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -8,21 +9,28 @@ import (
 	"testing"
 )
 
-// TestKernelEquivalenceProperty is the specialized kernels' golden gate:
-// across random hardware configurations — all rounding modes, AN on/off,
-// early termination on/off, CIC on/off, headstart on/off, 1- and 2-bit
-// cells, matrix/vector quantization, error injection, and exponent
-// spreads that exercise the 64-bit, 128-bit and multi-word decode tiers —
-// every packed kernel must produce bit-identical outputs and
-// DeepEqual-identical statistics to the forced generic kernel, call
-// after call. At least 4000 (kernel, vector) comparisons are required.
+// TestKernelEquivalenceProperty is the kernels' golden gate: across
+// random hardware configurations — all rounding modes, AN on/off, early
+// termination on/off, CIC on/off, headstart on/off, 1- and 2-bit cells,
+// matrix/vector quantization, error injection (which selects the
+// slice-major traversal), and exponent spreads that exercise the 64-bit,
+// 128-bit and multi-word decode tiers — MulVec must produce bit-identical
+// outputs and DeepEqual-identical statistics to the big.Int reference
+// oracle (mulVecRef on a second cluster programmed from the same block),
+// call after call. Where the pipeline is exact (no error injection, no
+// quantization) each output must also equal referenceDot, the exactly
+// rounded dot product over the raw float64 operands: an oracle that
+// shares none of the bit-serial machinery. At least 4000 reference
+// comparisons are required, at least 1000 of them also exact-dot ones.
 func TestKernelEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(991))
 	modes := []RoundingMode{TowardNegInf, NearestEven, TowardPosInf, TowardZero}
 	spreads := []int{4, 20, 60}
-	quants := []Quant{{}, {Mant: 8}, {Mant: 8, Window: 6}}
-	cases := 0
-	const trials = 350
+	// The exact scheme is listed twice so that it draws half the trials,
+	// enough for the exact-dot quota below.
+	quants := []Quant{{}, {}, {Mant: 8}, {Mant: 8, Window: 6}}
+	cases, exact := 0, 0
+	const trials = 520
 	for trial := 0; trial < trials; trial++ {
 		cfg := DefaultClusterConfig()
 		cfg.Rounding = modes[rng.Intn(len(modes))]
@@ -54,26 +62,15 @@ func TestKernelEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: NewBlockQuant: %v", trial, err)
 		}
-
-		genCfg := cfg
-		genCfg.Kernel = KernelGeneric
-		gen, err := NewCluster(blk, genCfg)
+		ref, err := NewCluster(blk, cfg)
 		if err != nil {
-			t.Fatalf("trial %d: NewCluster(generic): %v", trial, err)
+			t.Fatalf("trial %d: NewCluster(reference): %v", trial, err)
 		}
-		names := []string{KernelSWAR}
-		if !cfg.InjectErrors {
-			names = append(names, KernelBlocked)
+		kc, err := NewCluster(blk, cfg)
+		if err != nil {
+			t.Fatalf("trial %d: NewCluster: %v", trial, err)
 		}
-		kcs := make([]*Cluster, len(names))
-		for ki, name := range names {
-			kcfg := cfg
-			kcfg.Kernel = name
-			kcs[ki], err = NewCluster(blk, kcfg)
-			if err != nil {
-				t.Fatalf("trial %d: NewCluster(%s): %v", trial, name, err)
-			}
-		}
+		checkExact := !cfg.InjectErrors && q == (Quant{})
 
 		for call := 0; call < 8; call++ {
 			var x []float64
@@ -82,80 +79,61 @@ func TestKernelEquivalenceProperty(t *testing.T) {
 			} else {
 				x = randVec(rng, n, spread, 0.8)
 			}
-			yg, eg := gen.MulVec(x)
-			var want []float64
-			if eg == nil {
-				want = cloneF64(yg)
+			want, er := ref.mulVecRef(x)
+			yk, ek := kc.MulVec(x)
+			if (er == nil) != (ek == nil) {
+				t.Fatalf("trial %d call %d kernel %s: error mismatch reference=%v kernel=%v",
+					trial, call, kc.KernelName(), er, ek)
 			}
-			for ki, kc := range kcs {
-				yk, ek := kc.MulVec(x)
-				if (eg == nil) != (ek == nil) {
-					t.Fatalf("trial %d call %d kernel %s: error mismatch generic=%v kernel=%v",
-						trial, call, names[ki], eg, ek)
-				}
-				cases++
-				if eg != nil {
-					continue
-				}
-				if !bitsEqual(yk, want) {
-					t.Fatalf("trial %d call %d kernel %s (%s, cfg %+v): outputs differ\nkernel  %v\ngeneric %v",
-						trial, call, names[ki], kc.KernelName(), cfg, yk, want)
-				}
-				ks, gs := *kc.Stats(), *gen.Stats()
-				if !reflect.DeepEqual(ks, gs) {
-					t.Fatalf("trial %d call %d kernel %s (%s, cfg %+v): stats differ\nkernel  %+v\ngeneric %+v",
-						trial, call, names[ki], kc.KernelName(), cfg, ks, gs)
+			cases++
+			if er != nil {
+				continue
+			}
+			if !bitsEqual(yk, want) {
+				t.Fatalf("trial %d call %d kernel %s (cfg %+v): outputs differ\nkernel    %v\nreference %v",
+					trial, call, kc.KernelName(), cfg, yk, want)
+			}
+			ks, rs := *kc.Stats(), *ref.Stats()
+			if !reflect.DeepEqual(ks, rs) {
+				t.Fatalf("trial %d call %d kernel %s (cfg %+v): stats differ\nkernel    %+v\nreference %+v",
+					trial, call, kc.KernelName(), cfg, ks, rs)
+			}
+			if !checkExact {
+				continue
+			}
+			exact++
+			for i, row := range vals {
+				d := referenceDot(row, x, cfg.Rounding)
+				if math.Float64bits(yk[i]) != math.Float64bits(d) {
+					t.Fatalf("trial %d call %d row %d kernel %s (cfg %+v): MulVec %v (%#x), exact dot %v (%#x)",
+						trial, call, i, kc.KernelName(), cfg, yk[i], math.Float64bits(yk[i]), d, math.Float64bits(d))
 				}
 			}
 		}
 	}
+	t.Logf("%d reference comparisons, %d of them also against the exact dot product", cases, exact)
 	if cases < 4000 {
 		t.Fatalf("property suite covered %d cases, want >= 4000", cases)
 	}
+	if exact < 1000 {
+		t.Fatalf("property suite checked %d cases against the exact dot product, want >= 1000", exact)
+	}
 }
 
-// TestKernelSelection pins the dispatch policy and its validation: auto
-// selects blocked (row-major) without injection and swar (reference draw
-// order) with it; the force-knob accepts exactly the documented names;
-// blocked is rejected under injection; decode width follows the
-// reduction bound.
+// TestKernelSelection pins the dispatch policy: blocked (row-major)
+// without injection and swar (reference draw order) with it; decode
+// width follows the reduction bound.
 func TestKernelSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(992))
 	vals := randBlockVals(rng, 4, 6, 10, 1)
 
 	if got := mustCluster(t, vals, DefaultClusterConfig()).KernelName(); !strings.HasPrefix(got, "blocked/") {
-		t.Errorf("auto kernel without injection = %q, want blocked/*", got)
+		t.Errorf("kernel without injection = %q, want blocked/*", got)
 	}
 	inj := DefaultClusterConfig()
 	inj.InjectErrors = true
 	if got := mustCluster(t, vals, inj).KernelName(); !strings.HasPrefix(got, "swar/") {
-		t.Errorf("auto kernel with injection = %q, want swar/*", got)
-	}
-	ref := DefaultClusterConfig()
-	ref.ReferenceMVM = true
-	if got := mustCluster(t, vals, ref).KernelName(); got != "reference" {
-		t.Errorf("reference cluster reports kernel %q", got)
-	}
-	forced := DefaultClusterConfig()
-	forced.Kernel = KernelGeneric
-	if got := mustCluster(t, vals, forced).KernelName(); got != "generic" {
-		t.Errorf("forced generic reports kernel %q", got)
-	}
-
-	blk, err := NewBlockDense(vals, MaxPadBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := DefaultClusterConfig()
-	bad.Kernel = "vectorized" // not a variant
-	if _, err := NewCluster(blk, bad); err == nil {
-		t.Error("unknown kernel name accepted")
-	}
-	injBlocked := DefaultClusterConfig()
-	injBlocked.InjectErrors = true
-	injBlocked.Kernel = KernelBlocked
-	if _, err := NewCluster(blk, injBlocked); err == nil {
-		t.Error("blocked kernel accepted under error injection (draw order would diverge)")
+		t.Errorf("kernel with injection = %q, want swar/*", got)
 	}
 
 	// Decode tiers: a 4-bit-significand block of ones has a reduction
@@ -206,15 +184,19 @@ func mustClusterQuant(t *testing.T, vals [][]float64, cfg ClusterConfig) *Cluste
 }
 
 // TestKernelSteadyStateZeroAllocs extends the zero-allocation pin to
-// every kernel variant: a warm cluster must run MulVec without a single
-// heap allocation regardless of which kernel was selected.
+// both traversals: a warm cluster must run MulVec without a single heap
+// allocation, on the blocked kernel (injection off) and on the swar
+// kernel (injection on).
 func TestKernelSteadyStateZeroAllocs(t *testing.T) {
-	for _, name := range []string{KernelGeneric, KernelSWAR, KernelBlocked} {
+	for _, name := range []string{"blocked", "swar"} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(83))
 			cfg := DefaultClusterConfig()
-			cfg.Kernel = name
+			cfg.InjectErrors = name == "swar"
 			c := mustCluster(t, randBlockVals(rng, 6, 8, 14, 0.9), cfg)
+			if got := c.KernelName(); !strings.HasPrefix(got, name+"/") {
+				t.Fatalf("InjectErrors=%v selected kernel %q, want %s/*", cfg.InjectErrors, got, name)
+			}
 			xs := make([][]float64, 6)
 			for i := range xs {
 				xs[i] = randVec(rng, 8, 18, 0.8)

@@ -118,7 +118,7 @@ func TestQuantEncodeTruncatesAndFlushes(t *testing.T) {
 
 // TestClusterQuantGoldenEquivalence extends the fix-vs-reference golden
 // gate to the quantized presets: under ReducedSliceConfig and
-// BlockExpConfig the fixed-width hot path and the big.Int reference must
+// BlockExpConfig MulVec and the big.Int reference oracle must
 // stay bit-identical with identical statistics across rounding modes,
 // AN on/off, and early termination on/off.
 func TestClusterQuantGoldenEquivalence(t *testing.T) {
@@ -160,9 +160,7 @@ func TestClusterQuantGoldenEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: NewCluster(fix): %v", p.name, err)
 					}
-					refCfg := cfg
-					refCfg.ReferenceMVM = true
-					refC, err := NewCluster(blk, refCfg)
+					refC, err := NewCluster(blk, cfg)
 					if err != nil {
 						t.Fatalf("%s: NewCluster(ref): %v", p.name, err)
 					}
@@ -175,7 +173,7 @@ func TestClusterQuantGoldenEquivalence(t *testing.T) {
 							x = randVec(rng, n, 25, 0.8)
 						}
 						yf, errF := fixC.MulVec(x)
-						yr, errR := refC.MulVec(x)
+						yr, errR := refC.mulVecRef(x)
 						if (errF == nil) != (errR == nil) {
 							t.Fatalf("%s mode %v AN=%v ET=%v: error mismatch %v vs %v",
 								p.name, mode, !disableAN, !disableET, errF, errR)

@@ -44,21 +44,6 @@ func Clamp(n, jobs int) int {
 // would under serial execution instead of crashing an anonymous
 // goroutine.
 func For(n, workers int, body func(i int)) {
-	pool(n, workers, false, body)
-}
-
-// ForPinned is For with every worker goroutine wired to its own OS
-// thread (runtime.LockOSThread) for the life of the pool. Pinning keeps
-// a worker's cache-resident state — in the engine, the per-fork cluster
-// arenas — from migrating between cores mid-batch; it changes scheduling
-// only, never the iteration→worker assignment or the results. The
-// single-worker degenerate path runs unpinned on the caller, identical
-// to For.
-func ForPinned(n, workers int, body func(i int)) {
-	pool(n, workers, true, body)
-}
-
-func pool(n, workers int, pin bool, body func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -79,10 +64,6 @@ func pool(n, workers int, pin bool, body func(i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if pin {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
 			defer func() {
 				if r := recover(); r != nil {
 					pmu.Lock()

@@ -98,7 +98,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.logger.Info("job submitted",
 		"id", RequestID(r.Context()), "job", job.ID, "tenant", tenant,
 		"method", spec.method, "backend", spec.backend, "rows", spec.m.Rows(), "key", spec.key)
-	writeJSON(w, http.StatusAccepted, &JobSubmitResponse{
+	s.writeJSON(w, http.StatusAccepted, &JobSubmitResponse{
 		ID:        job.ID,
 		State:     jobs.StateQueued,
 		Node:      s.cfg.NodeID,
@@ -116,13 +116,14 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, "unknown job (expired, or owned by another node)")
 		return
 	}
-	writeJSON(w, http.StatusOK, &JobStatusResponse{View: job.View(), Node: s.cfg.NodeID})
+	s.writeJSON(w, http.StatusOK, &JobStatusResponse{View: job.View(), Node: s.cfg.NodeID})
 }
 
 // handleJobEvents streams the job's per-iteration trace as Server-Sent
 // Events: one "iteration" event per counted solver iteration (the
 // solver.Monitor feed, replayed from the start for late subscribers) and
-// a final "done" event carrying the terminal state.
+// a final "done" event carrying the terminal state. An event that cannot
+// be encoded ends the stream with an "error" event.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	job := s.store.Get(r.PathValue("id"))
 	if job == nil {
@@ -144,6 +145,11 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		for i := range evs {
 			data, err := json.Marshal(&evs[i])
 			if err != nil {
+				// A non-finite residual cannot be encoded: say so in the
+				// stream instead of closing it without a terminal event.
+				msg, _ := json.Marshal(errorResponse{Error: "encoding event: " + err.Error()})
+				fmt.Fprintf(w, "event: error\ndata: %s\n\n", msg)
+				flusher.Flush()
 				return
 			}
 			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", evs[i].Type, data); err != nil {
@@ -234,12 +240,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	switch {
 	case s.draining.Load():
 		w.Header().Set(retryAfterHeaderName, retryAfterSeconds(s.cfg.DrainGrace))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 	case s.queue.Len() >= s.cfg.QueueDepth:
 		w.Header().Set(retryAfterHeaderName, retryAfterSeconds(s.estimatedDrain()))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "saturated"})
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "saturated"})
 	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	}
 }
 

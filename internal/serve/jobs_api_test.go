@@ -468,3 +468,38 @@ func grepMetrics(text, substr string) string {
 	}
 	return strings.Join(out, "\n")
 }
+
+// TestJobEventsEncodeError: an event the stream cannot encode (the NaN
+// residual of a 1e308-diagonal solve) ends the SSE stream with an
+// "error" event carrying a JSON error body, on both backends.
+func TestJobEventsEncodeError(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	huge := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e308\n2 2 1e308\n"
+	for _, backend := range []string{"accel", "csr"} {
+		jr := submitJob(t, ts, SolveRequest{Matrix: huge, Backend: backend})
+		resp, err := ts.Client().Get(ts.URL + jr.EventsURL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := buf.String()
+		_, data, ok := strings.Cut(stream, "event: error\ndata: ")
+		if !ok {
+			t.Fatalf("%s: stream has no error event:\n%s", backend, stream)
+		}
+		data, _, _ = strings.Cut(data, "\n")
+		var er errorResponse
+		if err := json.Unmarshal([]byte(data), &er); err != nil || er.Error == "" {
+			t.Errorf("%s: error event data %q is not an error response", backend, data)
+		}
+	}
+}

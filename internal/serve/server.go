@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -469,7 +470,7 @@ type errorResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -549,7 +550,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	resp.Timings.Total = msSince(start)
 	root.End()
 	resp.Span = root
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // runMethod dispatches one named method. BiCG takes the CSR matrix for
@@ -584,14 +585,23 @@ func (s *Server) failCtx(w http.ResponseWriter, err error, fallback int) {
 
 func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 	s.metrics.failures.Add(1)
-	writeJSON(w, code, errorResponse{Error: msg})
+	s.writeJSON(w, code, errorResponse{Error: msg})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON encodes v before it writes the header, so a value that
+// cannot be encoded — a diverged solve's NaN or Inf — is answered with
+// a counted 500 and an error body, never a 2xx with an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		s.metrics.failures.Add(1)
+		code = http.StatusInternalServerError
+		buf.Reset()
+		_ = json.NewEncoder(&buf).Encode(errorResponse{Error: "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func msSince(t time.Time) float64 { return float64(time.Since(t).Nanoseconds()) / 1e6 }

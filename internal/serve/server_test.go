@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -297,5 +298,53 @@ func TestServerMethodNotAllowed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /solve status %d want 405", resp.StatusCode)
+	}
+}
+
+// TestServerSolveEdgeContract: every /solve response body is valid JSON,
+// and both backends apply the same rules. A 1e308 diagonal is finite
+// input, but the solve overflows to Inf/NaN, which JSON cannot carry:
+// the answer is a counted 500 with an error body, not a 200 with an
+// empty one. A NaN entry is rejected with 422 on either backend.
+func TestServerSolveEdgeContract(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+
+	const header = "%%MatrixMarket matrix coordinate real general\n"
+	huge := header + "2 2 2\n1 1 1e308\n2 2 1e308\n"
+	nan := header + "2 2 2\n1 1 NaN\n2 2 1\n"
+	cases := []struct {
+		name, matrix string
+		code         int
+	}{
+		{"1e308 diagonal", huge, http.StatusInternalServerError},
+		{"NaN entry", nan, http.StatusUnprocessableEntity},
+	}
+	failures := 0
+	for _, tc := range cases {
+		for _, backend := range []string{"accel", "csr"} {
+			resp, raw := postSolve(t, ts, SolveRequest{Matrix: tc.matrix, Backend: backend})
+			if resp.StatusCode != tc.code {
+				t.Errorf("%s on %s: status %d want %d (%s)", tc.name, backend, resp.StatusCode, tc.code, raw)
+			}
+			var er errorResponse
+			if err := json.Unmarshal(raw, &er); err != nil || er.Error == "" {
+				t.Errorf("%s on %s: body %q is not an error response", tc.name, backend, raw)
+			}
+			failures++
+		}
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if want := fmt.Sprintf("memserve_request_failures_total %d", failures); !strings.Contains(buf.String(), want) {
+		t.Errorf("metrics missing %q:\n%s", want, buf.String())
 	}
 }

@@ -103,7 +103,7 @@ func (s *Server) relaySolveWithGraft(w http.ResponseWriter, resp *http.Response,
 	fwdSp.End()
 	root.End()
 	sr.Span = root
-	writeJSON(w, resp.StatusCode, &sr)
+	s.writeJSON(w, resp.StatusCode, &sr)
 	return true
 }
 

@@ -84,6 +84,13 @@ func (s *Server) parseSolveRequest(w http.ResponseWriter, r *http.Request) *solv
 		return nil
 	}
 	m := coo.ToCSR()
+	// Every backend takes the accelerator's input rule (§IV-D): stored
+	// values must be finite. Checking at admission gives accel and csr
+	// the same 422.
+	if err := m.CheckFinite(); err != nil {
+		s.fail(w, http.StatusUnprocessableEntity, err.Error())
+		return nil
+	}
 
 	b := req.B
 	if b == nil {
