@@ -184,7 +184,6 @@ type Cluster struct {
 	cfg   ClusterConfig
 	block *Block
 
-	planes    []*xbar.Plane
 	planeBits int // bits per plane = Device.BitsPerCell
 	nPlanes   int
 	adc       xbar.ADC
@@ -217,8 +216,8 @@ type Cluster struct {
 
 	// decWords is the decode-width specialization fixed at NewCluster
 	// (1 = single 64-bit word, 2 = 128-bit pair, 0 = multi-word; see
-	// kernel.go); packed the interleaved SWAR mirror of the planes,
-	// immutable after NewCluster and shared by forks like the planes.
+	// kernel.go); packed is the programmed planes in interleaved SWAR
+	// form (program.go), immutable after NewCluster and shared by forks.
 	decWords int
 	packed   *packedPlanes
 
@@ -267,42 +266,7 @@ func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
 		c.arr = device.NewArray(cfg.Device, c.noiseSeed)
 	}
 
-	// Program the planes: every cell (including absent elements) holds
-	// its slice of V = A·(F + bias), the biased AN-coded operand.
-	c.planes = make([]*xbar.Plane, c.nPlanes)
-	for t := range c.planes {
-		c.planes[t] = xbar.NewPlane(block.M, block.N, c.planeBits)
-	}
-	// Two scratch operands hoisted out of the M·N cell loop: v holds
-	// F+bias, u the AN-coded product. Multiplying into a distinct
-	// receiver lets big.Int reuse u's storage instead of allocating a
-	// product (and a big.NewInt(A)) per cell — this loop dominated
-	// engine-programming allocations.
-	v, u := new(big.Int), new(big.Int)
-	for i := 0; i < block.M; i++ {
-		for j := 0; j < block.N; j++ {
-			v.Add(block.F[i*block.N+j], c.bias)
-			u.Mul(v, bigAN)
-			for t := 0; t < c.nPlanes; t++ {
-				var level uint8
-				for b := 0; b < c.planeBits; b++ {
-					if u.Bit(t*c.planeBits+b) == 1 {
-						level |= 1 << b
-					}
-				}
-				c.planes[t].Set(i, j, level)
-			}
-		}
-	}
 	cic := cfg.CIC && c.planeBits == 1
-	if cic {
-		for _, p := range c.planes {
-			p.ApplyCIC()
-		}
-	}
-	if cfg.InjectErrors && cfg.Device.Faults.Static() {
-		c.applyStaticFaults()
-	}
 	c.adc = xbar.ADC{
 		Resolution: xbar.RequiredResolution(block.N, c.planeBits, cic),
 		Headstart:  cfg.Headstart,
@@ -318,7 +282,7 @@ func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
 	c.redWords = make([]big.Word, (c.sumBits+64+63)/64)
 	c.initArena()
 	c.decWords = c.reductionWords()
-	c.buildPacked()
+	c.program(cic)
 	return c, nil
 }
 
@@ -369,7 +333,7 @@ func addShifted(words []big.Word, shift uint, v uint64) {
 	}
 }
 
-// Fork returns a cluster sharing c's programmed state — the encoded
+// Fork returns a cluster sharing c's programmed state — the packed
 // bit-slice planes (with CIC inversion, stuck-at masks and D2D gains),
 // the AN corrector table, the bias and the block — with private scratch
 // and statistics, so the fork costs none of the O(M·N·planes) encode
@@ -386,20 +350,20 @@ func addShifted(words []big.Word, shift uint, v uint64) {
 // retention age: it models another read port on the same aging silicon.
 func (c *Cluster) Fork() *Cluster {
 	n := &Cluster{
-		cfg:       c.cfg,
-		block:     c.block,
-		planes:    c.planes,
-		planeBits: c.planeBits,
-		nPlanes:   c.nPlanes,
-		adc:       c.adc,
-		corr:      c.corr,
-		bias:      c.bias,
-		uMax:      c.uMax,
-		sumBits:   c.sumBits,
-		redWords:  make([]big.Word, len(c.redWords)),
-		age:       c.age,
-		decWords:  c.decWords,
-		packed:    c.packed,
+		cfg:        c.cfg,
+		block:      c.block,
+		planeBits:  c.planeBits,
+		nPlanes:    c.nPlanes,
+		adc:        c.adc,
+		corr:       c.corr,
+		bias:       c.bias,
+		uMax:       c.uMax,
+		sumBits:    c.sumBits,
+		redWords:   make([]big.Word, len(c.redWords)),
+		age:        c.age,
+		stuckCells: c.stuckCells,
+		decWords:   c.decWords,
+		packed:     c.packed,
 	}
 	n.initArena()
 	if c.cfg.InjectErrors {

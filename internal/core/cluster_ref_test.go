@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"memsci/internal/ancode"
+	"memsci/internal/xbar"
 )
 
 // This file keeps the original big.Int MulVec as a test-only oracle for
@@ -12,10 +14,56 @@ import (
 // configuration through both MulVec and mulVecRef on identically
 // programmed clusters and require bit-identical outputs and identical
 // statistics, so this code must stay behaviorally frozen: only
-// allocation hoists that cannot change values are applied here.
+// allocation hoists that cannot change values are applied here. It
+// reads the programmed planes one (row, plane) column at a time through
+// columnRef.
+
+// columnRef is one reference column quantization of plane t for output
+// row i, read word by word from the packed lanes: the stored column's
+// dot product with the applied slice x, observed through the
+// device-error model when injecting (active cells are those at a
+// nonzero level), the SAR bit decisions the ADC spends on it, and CIC
+// decoding back to the true count. It consumes the error stream in the
+// reference order, one draw sequence per (row, plane) column, and
+// shares none of the kernels' lane counts, OR masks or headstart
+// tables. popX must equal the popcount of x.
+func (c *Cluster) columnRef(i, t int, x *xbar.Bitmap, popX int) (count, bitsUsed int) {
+	nP, B := c.nPlanes, c.planeBits
+	pk := c.packed
+	stored, onCells, weight := 0, 0, 0
+	for w, xw := range x.Words() {
+		var active uint64
+		for lb, lw := range pk.words[pk.at(i, w, t*B):][:B] {
+			stored += bits.OnesCount64(lw&xw) << lb
+			weight += bits.OnesCount64(lw) << lb
+			active |= lw
+		}
+		onCells += bits.OnesCount64(active & xw)
+	}
+	observed := stored
+	if c.arr != nil {
+		gain := 1.0
+		if pk.gains != nil {
+			gain = pk.gains[i*nP+t]
+		}
+		observed = c.arr.PerturbCountVar(stored, onCells, popX-onCells, gain)
+	}
+	lmax := 1<<B - 1
+	bitsUsed = c.adc.ConversionBits(min(weight, popX*lmax))
+	count = observed
+	if pk.inverted[i*nP+t] {
+		// CIC decoding: true = popX − stored-form count (§V-B2); a noisy
+		// observation cannot exceed the CIC bound.
+		count = popX - observed
+		if count < 0 {
+			count = 0
+		}
+	}
+	return count, bitsUsed
+}
 
 // mulVecRef is the reference MulVec: one big.Int per running sum, fresh
-// output slice, allocating slicer, and a per-plane Column walk in the
+// output slice, allocating slicer, and a per-plane columnRef walk in the
 // reference stochastic draw order. Like MulVec it folds the call's ADC
 // saturation events into the statistics.
 func (c *Cluster) mulVecRef(x []float64) ([]float64, error) {
@@ -97,10 +145,10 @@ func (c *Cluster) mulVecRefBody(x []float64) ([]float64, error) {
 				c.redWords[w] = 0
 			}
 			for t := 0; t < c.nPlanes; t++ {
-				res := c.planes[t].Column(i, slice, popX, c.arr, c.adc)
+				count, bitsUsed := c.columnRef(i, t, slice, popX)
 				c.stats.Conversions++
-				c.stats.ConversionBits += uint64(res.BitsConverted)
-				addShifted(c.redWords, uint(t*c.planeBits), uint64(res.Count))
+				c.stats.ConversionBits += uint64(bitsUsed)
+				addShifted(c.redWords, uint(t*c.planeBits), uint64(count))
 			}
 			p.SetBits(c.redWords)
 			// AN decode: P = A·Σ U·x must be divisible by A.

@@ -38,11 +38,11 @@ func TestStuckAtRespectedByProgramming(t *testing.T) {
 	if c.StuckCells() != want {
 		t.Fatalf("StuckCells = %d, want %d (every cell)", c.StuckCells(), want)
 	}
-	for _, plane := range c.planes {
-		for i := 0; i < plane.Outputs(); i++ {
-			for j := 0; j < plane.Inputs(); j++ {
-				if got := plane.StoredLevel(i, j); got != 1 {
-					t.Fatalf("plane cell (%d,%d) stored %d, want stuck level 1", i, j, got)
+	for p := 0; p < c.Planes(); p++ {
+		for i := 0; i < 8; i++ {
+			for j := 0; j < 8; j++ {
+				if got := c.storedLevel(i, j, p); got != 1 {
+					t.Fatalf("plane %d cell (%d,%d) stored %d, want stuck level 1", p, i, j, got)
 				}
 			}
 		}
@@ -79,10 +79,10 @@ func TestStuckAtRespectedByProgramming(t *testing.T) {
 		// Counts could coincide; compare the actual masks via stored form.
 		same := true
 	outer:
-		for pi, plane := range a.planes {
-			for i := 0; i < plane.Outputs(); i++ {
-				for j := 0; j < plane.Inputs(); j++ {
-					if plane.StoredLevel(i, j) != d.planes[pi].StoredLevel(i, j) {
+		for p := 0; p < a.Planes(); p++ {
+			for i := 0; i < 8; i++ {
+				for j := 0; j < 8; j++ {
+					if a.storedLevel(i, j, p) != d.storedLevel(i, j, p) {
 						same = false
 						break outer
 					}
@@ -104,9 +104,9 @@ func TestD2DGainsDeterministic(t *testing.T) {
 	cfg := faultCfg(device.Faults{D2DSigma: 0.2})
 	a, b := mustCluster(t, vals, cfg), mustCluster(t, vals, cfg)
 	sawSpread := false
-	for pi, plane := range a.planes {
-		for i := 0; i < plane.Outputs(); i++ {
-			ga, gb := plane.ColumnGain(i), b.planes[pi].ColumnGain(i)
+	for pi := 0; pi < a.Planes(); pi++ {
+		for i := 0; i < 8; i++ {
+			ga, gb := clusterGain(a, i, pi), clusterGain(b, i, pi)
 			if ga != gb {
 				t.Fatalf("plane %d column %d: gain %v vs %v across re-programming", pi, i, ga, gb)
 			}

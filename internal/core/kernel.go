@@ -7,15 +7,14 @@ import (
 	"memsci/internal/ancode"
 )
 
-// This file implements the cluster MVM kernels: a packed interleaved
-// mirror of the programmed planes (built once at NewCluster and shared
-// by forks, like the planes themselves), one per-(row, slice) step that
-// fuses the per-plane column popcounts of that pair into a single pass
-// over packed words, and two traversals of that step. The row-major
-// cache-blocked traversal keeps one output row's packed words and
-// running sum resident across all of its vector slices; the slice-major
-// traversal consumes the stochastic error draws in the reference order
-// and therefore runs under error injection. The step uses one- or
+// This file implements the cluster MVM kernels over the packed planes
+// (program.go): one per-(row, slice) step that fuses the per-plane
+// column popcounts of that pair into a single pass over packed words,
+// and two traversals of that step. The row-major cache-blocked
+// traversal keeps one output row's packed words and running sum
+// resident across all of its vector slices; the slice-major traversal
+// consumes the stochastic error draws in the reference order and
+// therefore runs under error injection. The step uses one- or
 // two-word shift-add, AN-divide and de-bias arithmetic when the
 // cluster's reduction bound allows, and the multi-word path otherwise.
 //
@@ -70,108 +69,6 @@ func (c *Cluster) KernelName() string {
 	return base + "/multi"
 }
 
-// packedPlanes is the SWAR mirror of a cluster's planes: for output row
-// i and input word w, the level-bit words of every plane sit
-// consecutively ("lanes"), so the inner kernel loop streams contiguous
-// memory, ANDing one input word against all planes at once — replacing
-// nPlanes·bitsPerCell separate bitmap walks per (row, slice) pair.
-// Layout:
-//
-//	words[(i·nW + w)·lanes + t·planeBits + b] = bit b of plane t,
-//	                                            output row i, input word w
-//
-// The mirror is immutable after NewCluster: CIC inversion and static
-// faults are applied before it is built, and refresh re-programs whole
-// clusters through NewCluster. Forks share it the way they share planes.
-type packedPlanes struct {
-	nW    int // words per input bitmap, (N+63)/64
-	lanes int // nPlanes·planeBits level-bit lanes
-	words []uint64
-
-	// orWords, built only under error injection with multi-bit cells,
-	// holds the OR of each plane's level bits per (row, word, plane) —
-	// the active-cell mask behind the error model's onCells operand:
-	// orWords[(i·nW + w)·nPlanes + t].
-	orWords []uint64
-
-	// inverted caches the per-(row, plane) CIC flags: inverted[i·nPlanes+t].
-	inverted []bool
-
-	// bitsTab, present when ADC headstart is on, tabulates the SAR bit
-	// decisions of one (row, slice) pair as a function of the applied
-	// popcount bound's bit length: bitsTab[i·(maxCap+1) + Len(popX·lmax)]
-	// = Σ_t clamp(min(Len(weight_t), Len(popX·lmax)), 1, Resolution).
-	// This is exact because Len is monotone, so Len(min(w, cap)) =
-	// min(Len(w), Len(cap)).
-	bitsTab []uint32
-	maxCap  int
-}
-
-// buildPacked constructs the packed mirror from the (final, post-CIC,
-// post-fault) planes.
-func (c *Cluster) buildPacked() {
-	b := c.block
-	B, nP := c.planeBits, c.nPlanes
-	pk := &packedPlanes{
-		nW:    (b.N + 63) / 64,
-		lanes: nP * B,
-	}
-	pk.words = make([]uint64, b.M*pk.nW*pk.lanes)
-	pk.inverted = make([]bool, b.M*nP)
-	for i := 0; i < b.M; i++ {
-		for t := 0; t < nP; t++ {
-			pk.inverted[i*nP+t] = c.planes[t].Inverted(i)
-			for lb := 0; lb < B; lb++ {
-				cw := c.planes[t].ColumnWords(lb, i)
-				lane := t*B + lb
-				for w := 0; w < pk.nW; w++ {
-					pk.words[(i*pk.nW+w)*pk.lanes+lane] = cw[w]
-				}
-			}
-		}
-	}
-	if c.arr != nil && B > 1 {
-		pk.orWords = make([]uint64, b.M*pk.nW*nP)
-		for i := 0; i < b.M; i++ {
-			for t := 0; t < nP; t++ {
-				for w := 0; w < pk.nW; w++ {
-					var or uint64
-					for lb := 0; lb < B; lb++ {
-						or |= c.planes[t].ColumnWords(lb, i)[w]
-					}
-					pk.orWords[(i*pk.nW+w)*nP+t] = or
-				}
-			}
-		}
-	}
-	if c.adc.Headstart {
-		lmax := 1<<B - 1
-		pk.maxCap = bits.Len(uint(b.N * lmax))
-		pk.bitsTab = make([]uint32, b.M*(pk.maxCap+1))
-		res := c.adc.Resolution
-		for i := 0; i < b.M; i++ {
-			row := pk.bitsTab[i*(pk.maxCap+1) : (i+1)*(pk.maxCap+1)]
-			for t := 0; t < nP; t++ {
-				lw := bits.Len(uint(c.planes[t].StoredOnes(i)))
-				for cl := 0; cl <= pk.maxCap; cl++ {
-					need := lw
-					if cl < need {
-						need = cl
-					}
-					if need > res {
-						need = res
-					}
-					if need < 1 {
-						need = 1
-					}
-					row[cl] += uint32(need)
-				}
-			}
-		}
-	}
-	c.packed = pk
-}
-
 // rowConvBits returns the total SAR bit decisions for one (row, slice)
 // pair; capIdx is Len(popX·lmax), ignored when headstart is off.
 func (c *Cluster) rowConvBits(i, capIdx int) uint64 {
@@ -184,10 +81,10 @@ func (c *Cluster) rowConvBits(i, capIdx int) uint64 {
 
 // countLanes accumulates into the arena's lane-count buffer the
 // AND-popcounts of every level-bit lane of output row i against the
-// applied slice words xw — one pass over the interleaved mirror instead
-// of nPlanes·bitsPerCell separate bitmap walks. Padding bits are clear
-// on both operands (planes and slices maintain that invariant), so no
-// tail masking is needed.
+// applied slice words xw — one pass over the interleaved packed planes
+// instead of nPlanes·bitsPerCell separate bitmap walks. Padding bits are
+// clear on both operands (planes and slices maintain that invariant), so
+// no tail masking is needed.
 func (c *Cluster) countLanes(i int, xw []uint64) {
 	pk := c.packed
 	cnts := c.arena.cnts
@@ -250,7 +147,7 @@ func (c *Cluster) countOrLanes(i int, xw []uint64) {
 // planeCounts converts the lane counts of row i into final per-plane
 // CIC-decoded counts, optionally routing each plane's stored count
 // through the device-error model in ascending plane order — the exact
-// draw order of the reference per-plane Column walk.
+// draw order of the reference per-plane column walk (columnRef).
 func (c *Cluster) planeCounts(i, popX int, xw []uint64) {
 	ar := &c.arena
 	pk := c.packed
@@ -270,7 +167,11 @@ func (c *Cluster) planeCounts(i, popX int, xw []uint64) {
 			if B > 1 {
 				on = ar.orCnts[t]
 			}
-			cv = c.arr.PerturbCountVar(cv, on, popX-on, c.planes[t].ColumnGain(i))
+			gain := 1.0
+			if pk.gains != nil {
+				gain = pk.gains[i*nP+t]
+			}
+			cv = c.arr.PerturbCountVar(cv, on, popX-on, gain)
 		}
 		if inv[t] {
 			// CIC decoding: true = popX − stored-form count; a noisy
@@ -497,12 +398,12 @@ func (c *Cluster) mulVecSWAR(y []float64, scale int) {
 // mulVecBlocked is the row-major cache-blocked traversal: one output
 // row's packed words (nPlanes·bitsPerCell contiguous uint64 lanes per
 // input word) and running sum stay L1-resident while all of its vector
-// slices are applied, instead of streaming the whole M-row mirror once
-// per slice. Per-row early termination breaks out of the slice loop as
-// soon as the row's IEEE mantissa settles; the slice-major schedule's
-// aggregate counters (slices applied, activations, conversions skipped,
-// settle cutoff) are reconstructed exactly from the per-row settle points
-// by VerticalSettleStats. The traversal reorders only commutative
+// slices are applied, instead of streaming all M rows of packed planes
+// once per slice. Per-row early termination breaks out of the slice
+// loop as soon as the row's IEEE mantissa settles; the slice-major
+// schedule's aggregate counters (slices applied, activations,
+// conversions skipped, settle cutoff) are reconstructed exactly from
+// the per-row settle points by VerticalSettleStats. The traversal reorders only commutative
 // integer additions and stats increments, so outputs and statistics are
 // bit-identical to the slice-major one; stochastic error draws would NOT
 // commute, which is why MulVec runs it only without error injection.

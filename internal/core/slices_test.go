@@ -71,7 +71,13 @@ func TestSliceVectorPopCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < vs.Width; j++ {
-		if vs.Pop[j] != vs.Slices[j].PopCount() {
+		pop := 0
+		for i := range x {
+			if vs.Slices[j].Get(i) {
+				pop++
+			}
+		}
+		if vs.Pop[j] != pop {
 			t.Fatalf("pop mismatch at slice %d", j)
 		}
 	}

@@ -185,12 +185,15 @@ func (a *Array) PerturbCount(onSum, onCells, offCells int) int {
 // with every fault knob at its zero value reducing, draw for draw and
 // operation for operation, to the original two-source model.
 func (a *Array) PerturbCountVar(onSum, onCells, offCells int, gain float64) int {
-	p := a.p
+	// A pointer, not a copy: Params carries the fault family, and this
+	// runs once per column readout.
+	p := &a.p
+	steps := p.Levels() - 1
 	leak := 1.0 / p.DynamicRange
 	// A level-L cell conducts L unit steps; with B bits per cell a unit
 	// is 1/(levels-1) of the on/off window, so the relative leakage per
 	// off cell is (levels-1)·leak units.
-	unitLeak := leak * float64(p.Levels()-1)
+	unitLeak := leak * float64(steps)
 
 	nominal := unitLeak * float64(offCells)
 	// The nominal leakage offset is a known digital function of the
@@ -213,7 +216,7 @@ func (a *Array) PerturbCountVar(onSum, onCells, offCells int, gain float64) int 
 	}
 	analog := on + shift
 	if p.ProgError > 0 && onCells > 0 {
-		sigma := p.ProgError * float64(p.Levels()-1) * math.Sqrt(float64(onCells))
+		sigma := p.ProgError * float64(steps) * math.Sqrt(float64(onCells))
 		analog += a.rng.NormFloat64() * sigma
 	}
 	q := int(math.RoundToEven(analog))
@@ -222,7 +225,7 @@ func (a *Array) PerturbCountVar(onSum, onCells, offCells int, gain float64) int 
 		q = 0
 		clamped = true
 	}
-	max := (onCells + offCells) * (a.p.Levels() - 1)
+	max := (onCells + offCells) * steps
 	if q > max {
 		q = max
 		clamped = true

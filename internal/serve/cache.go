@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -38,25 +39,42 @@ import (
 // column indices, duplicates summed), so any two equal operators hash
 // identically regardless of the entry order they were assembled from.
 func Fingerprint(m *sparse.CSR, cfg core.ClusterConfig, seed int64) string {
+	// Words are staged in a buffer of at most 8 KiB (plus room for the
+	// config rendering) and hashed a chunk at a time: one digest call
+	// per chunk instead of per word, and no allocation that grows with
+	// the matrix on the per-request path.
+	words := 2 + len(m.RowPtr) + len(m.ColIdx) + len(m.Vals)
 	h := sha256.New()
-	var buf [8]byte
-	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	word(uint64(m.Rows()))
-	word(uint64(m.Cols()))
+	w := wordWriter{h: h, buf: make([]byte, 0, 8*min(words, 1<<10)+512)}
+	w.word(uint64(m.Rows()))
+	w.word(uint64(m.Cols()))
 	for _, p := range m.RowPtr {
-		word(uint64(p))
+		w.word(uint64(p))
 	}
 	for _, j := range m.ColIdx {
-		word(uint64(j))
+		w.word(uint64(j))
 	}
 	for _, v := range m.Vals {
-		word(math.Float64bits(v))
+		w.word(math.Float64bits(v))
 	}
-	fmt.Fprintf(h, "|cfg=%+v|seed=%d", cfg, seed)
+	w.buf = fmt.Appendf(w.buf, "|cfg=%+v|seed=%d", cfg, seed)
+	h.Write(w.buf)
 	return "sha256:" + hex.EncodeToString(h.Sum(nil))
+}
+
+// wordWriter stages little-endian words for a hash in buf, writing it
+// through whenever it fills.
+type wordWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func (w *wordWriter) word(v uint64) {
+	if len(w.buf) == cap(w.buf) {
+		w.h.Write(w.buf)
+		w.buf = w.buf[:0]
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
 // Cache capacity defaults.
@@ -89,6 +107,8 @@ type CacheConfig struct {
 // Cache is a content-addressed store of programmed engines. All methods
 // are safe for concurrent use.
 type Cache struct {
+	// ccfg is the cluster configuration Acquire programs with; the
+	// server also programs refine engines here under its own key.
 	ccfg core.ClusterConfig
 	seed int64
 	// refresh, when non-nil, is armed on every programmed engine; forks
@@ -179,14 +199,21 @@ func (l *Lease) Release() {
 	l.ent.slots <- l.Engine
 }
 
-// Acquire leases a programmed engine for the matrix, programming it on
-// a miss. Concurrent acquisitions of the same uncached matrix program
-// it exactly once: one request programs, the rest wait on the flight and
-// then lease from the resulting pool. The context bounds both the wait
-// for an in-progress programming and the wait for a free pool engine.
+// Acquire leases a programmed engine for the matrix under the cache's
+// cluster configuration, programming it on a miss. Concurrent
+// acquisitions of the same uncached matrix program it exactly once: one
+// request programs, the rest wait on the flight and then lease from the
+// resulting pool. The context bounds both the wait for an in-progress
+// programming and the wait for a free pool engine.
 func (c *Cache) Acquire(ctx context.Context, m *sparse.CSR) (*Lease, error) {
-	key := Fingerprint(m, c.ccfg, c.seed)
+	return c.acquire(ctx, Fingerprint(m, c.ccfg, c.seed), m, c.ccfg)
+}
 
+// acquire is Acquire for a caller that has already fingerprinted m under
+// ccfg (key must equal Fingerprint(m, ccfg, seed)). Engines of every
+// configuration share one LRU and one cluster budget; the key embeds the
+// configuration, so entries of different configurations never collide.
+func (c *Cache) acquire(ctx context.Context, key string, m *sparse.CSR, ccfg core.ClusterConfig) (*Lease, error) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.lru.MoveToFront(el)
@@ -213,7 +240,7 @@ func (c *Cache) Acquire(ctx context.Context, m *sparse.CSR) (*Lease, error) {
 	c.misses.Add(1)
 	c.mu.Unlock()
 
-	ent, err := c.program(key, m)
+	ent, err := c.program(key, m, ccfg)
 	fl.ent, fl.err = ent, err
 	c.mu.Lock()
 	delete(c.inflight, key)
@@ -232,12 +259,12 @@ func (c *Cache) Acquire(ctx context.Context, m *sparse.CSR) (*Lease, error) {
 
 // program preprocesses and programs a matrix into a fresh entry. This is
 // the only place cluster programming happens; pool growth uses forks.
-func (c *Cache) program(key string, m *sparse.CSR) (*entry, error) {
+func (c *Cache) program(key string, m *sparse.CSR, ccfg core.ClusterConfig) (*entry, error) {
 	plan, err := blocking.Preprocess(m, blocking.DefaultSubstrate())
 	if err != nil {
 		return nil, fmt.Errorf("serve: preprocess: %w", err)
 	}
-	eng, err := accel.NewEngine(plan, c.ccfg, c.seed)
+	eng, err := accel.NewEngine(plan, ccfg, c.seed)
 	if err != nil {
 		return nil, fmt.Errorf("serve: program: %w", err)
 	}

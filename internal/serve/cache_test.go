@@ -326,3 +326,57 @@ func TestCacheEvictionByClusterBound(t *testing.T) {
 		t.Errorf("programmings = %d, want 3 (m1, m2, re-programmed m1)", st.Programmings)
 	}
 }
+
+// TestCacheOneBudgetAcrossConfigs pins that engines programmed under a
+// second cluster configuration (the refine engines) live in the same
+// LRU and count against the same cluster budget as the default ones,
+// under distinct keys.
+func TestCacheOneBudgetAcrossConfigs(t *testing.T) {
+	ccfg := core.DefaultClusterConfig()
+	rcfg := core.ReducedSliceConfig(DefaultRefineBits)
+	m := testMatrix(t, 128, 8)
+	ctx := context.Background()
+
+	c := NewCache(CacheConfig{}, ccfg, 1)
+	direct, err := c.Acquire(ctx, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct.Release()
+	rkey := Fingerprint(m, rcfg, 1)
+	refine, err := c.acquire(ctx, rkey, m, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refine.Release()
+	if refine.Hit || refine.Key == direct.Key {
+		t.Fatalf("refine lease hit=%v key=%s collided with the direct entry %s", refine.Hit, refine.Key, direct.Key)
+	}
+	st := c.Stats()
+	weight := direct.Engine.Clusters() + refine.Engine.Clusters()
+	if st.Entries != 2 || st.Programmings != 2 || st.Clusters != weight {
+		t.Fatalf("stats %+v, want 2 entries, 2 programmings, %d clusters", st, weight)
+	}
+	again, err := c.acquire(ctx, rkey, m, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again.Release()
+	if !again.Hit {
+		t.Fatal("repeat refine acquisition missed")
+	}
+
+	// A budget for the larger engine alone: the second configuration
+	// evicts the first.
+	small := NewCache(CacheConfig{MaxClusters: max(direct.Engine.Clusters(), refine.Engine.Clusters())}, ccfg, 1)
+	for _, cfg := range []core.ClusterConfig{ccfg, rcfg} {
+		l, err := small.acquire(ctx, Fingerprint(m, cfg, 1), m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Release()
+	}
+	if st := small.Stats(); st.Evictions != 1 || st.Entries != 1 {
+		t.Fatalf("shared budget: evictions %d entries %d, want 1 and 1", st.Evictions, st.Entries)
+	}
+}

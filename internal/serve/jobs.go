@@ -404,7 +404,7 @@ func (s *Server) runBatch(ctx context.Context, batch []*queuedJob) {
 	defer cancel()
 
 	progStart := time.Now()
-	lease, err := s.cache.Acquire(execCtx, spec.m)
+	lease, err := s.cache.acquire(execCtx, spec.key, spec.m, s.cfg.Cluster)
 	if err != nil {
 		failAll(err)
 		return

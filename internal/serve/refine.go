@@ -23,7 +23,7 @@ const refineLowprecBlockRows = 512
 
 // executeRefine is executeSolve for mode:"refine": a mixed-precision
 // iterative-refinement run. The inner Krylov solve uses a cheap
-// operator — a RefineCluster engine leased from the refine cache for the
+// operator — a RefineCluster engine leased from the engine cache for the
 // accel backend, or the lowprec fixed-point datapath for csr — and the
 // fp64 outer loop recomputes true residuals on the reference CSR path.
 // Each completed sweep gets its own child span under the solve span, so
@@ -42,7 +42,7 @@ func (s *Server) executeRefine(ctx context.Context, spec *solveSpec, reqID strin
 	progSp := parent.StartChild("program")
 	if spec.backend == "accel" {
 		var err error
-		lease, err = s.refineCache.Acquire(ctx, spec.m)
+		lease, err = s.cache.acquire(ctx, spec.key, spec.m, s.cfg.RefineCluster)
 		if err != nil {
 			progSp.End()
 			if errors.Is(err, context.DeadlineExceeded) {

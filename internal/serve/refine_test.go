@@ -26,7 +26,8 @@ func countPhase(sp *obs.Span, phase string) int {
 }
 
 func TestServerRefineModeAccel(t *testing.T) {
-	ts := httptest.NewServer(New(Config{}))
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	m := testMatrix(t, 192, 11)
@@ -52,7 +53,7 @@ func TestServerRefineModeAccel(t *testing.T) {
 		t.Errorf("backend %q", sr.Backend)
 	}
 	if sr.Cache == nil || sr.Cache.Hit {
-		t.Errorf("first refine solve should miss the refine cache: %+v", sr.Cache)
+		t.Errorf("first refine solve should miss the cache: %+v", sr.Cache)
 	}
 	// The true residual is checked against the EXACT operator — the
 	// fp64 outer loop's whole job.
@@ -69,18 +70,18 @@ func TestServerRefineModeAccel(t *testing.T) {
 		t.Errorf("hardware window missing: %+v", sr.Hardware)
 	}
 
-	// The identical request hits the refine cache, not the direct one.
+	// The identical request hits the refine entry.
 	resp2, raw2 := postSolve(t, ts, req)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp2.StatusCode, raw2)
 	}
 	sr2 := decodeSolve(t, raw2)
 	if sr2.Cache == nil || !sr2.Cache.Hit {
-		t.Errorf("repeat refine solve should hit the refine cache: %+v", sr2.Cache)
+		t.Errorf("repeat refine solve should hit the refine entry: %+v", sr2.Cache)
 	}
 
 	// A direct solve of the same matrix must not collide with the
-	// refine cache entry (different cluster config, different key).
+	// refine entry (different cluster config, different key).
 	dreq := SolveRequest{Matrix: mmText(t, m), Method: "cg", Tol: 1e-10}
 	_, draw := postSolve(t, ts, dreq)
 	dsr := decodeSolve(t, draw)
@@ -89,6 +90,11 @@ func TestServerRefineModeAccel(t *testing.T) {
 	}
 	if dsr.Mode != "" || dsr.Outer != 0 {
 		t.Errorf("direct solve leaked refine fields: %+v", dsr)
+	}
+	// Both engines live in the one engine cache, so its counters (and
+	// memserve_cache_* metrics) see the refine programming too.
+	if st := srv.cache.Stats(); st.Entries != 2 || st.Programmings != 2 {
+		t.Errorf("cache holds %d entries after %d programmings, want 2 and 2", st.Entries, st.Programmings)
 	}
 }
 

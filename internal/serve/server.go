@@ -50,12 +50,12 @@ type Config struct {
 	Refresh *accel.RefreshPolicy
 	// RefineCluster is the reduced-precision hardware configuration the
 	// refinement inner engines are programmed with (zero value =
-	// core.ReducedSliceConfig(8)). Refine-mode solves lease from a
-	// second engine cache keyed by this configuration, so direct and
-	// refine solves of the same matrix never share an engine.
+	// core.ReducedSliceConfig(8)). Refine-mode solves lease engines
+	// keyed by this configuration, so direct and refine solves of the
+	// same matrix never share an engine.
 	RefineCluster core.ClusterConfig
-	// Cache sizes the engine cache (both the direct and the refine cache
-	// use this sizing independently).
+	// Cache sizes the engine cache; direct and refine engines share its
+	// cluster budget.
 	Cache CacheConfig
 	// Logger receives structured request and solve logs (nil = discard;
 	// cmd/memserve passes a text handler on stderr).
@@ -193,16 +193,16 @@ func (c Config) withDefaults() Config {
 // down. Servers that run async jobs hold a worker pool — call Close
 // when discarding the server.
 type Server struct {
-	cfg   Config
-	cache *Cache
-	// refineCache holds the reduced-precision inner engines for
-	// mode:"refine" solves; its fingerprints embed RefineCluster, so its
-	// keys never collide with the direct cache's.
-	refineCache *Cache
-	metrics     *Metrics
-	traces      *obs.TraceRing
-	logger      *slog.Logger
-	mux         *http.ServeMux
+	cfg Config
+	// cache holds every programmed engine: the direct engines and the
+	// reduced-precision inner engines of mode:"refine" solves, under one
+	// cluster budget. Fingerprints embed the cluster configuration, so
+	// the two kinds never share a key.
+	cache   *Cache
+	metrics *Metrics
+	traces  *obs.TraceRing
+	logger  *slog.Logger
+	mux     *http.ServeMux
 
 	store   *jobs.Store
 	queue   *workQueue
@@ -239,8 +239,6 @@ func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, logger: cfg.Logger}
 	s.cache = NewCache(cfg.Cache, cfg.Cluster, cfg.Seed)
 	s.cache.refresh = cfg.Refresh
-	s.refineCache = NewCache(cfg.Cache, cfg.RefineCluster, cfg.Seed)
-	s.refineCache.refresh = cfg.Refresh
 	s.store = jobs.NewStore(jobs.StoreConfig{Capacity: cfg.JobCapacity, TTL: cfg.JobTTL})
 	s.queue = newWorkQueue(cfg.QueueDepth)
 	s.sem = make(chan struct{}, cfg.MaxConcurrent)

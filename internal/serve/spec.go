@@ -152,10 +152,11 @@ func (s *Server) parseSolveRequest(w http.ResponseWriter, r *http.Request) *solv
 	if tenant == "" {
 		tenant = anonymousTenant
 	}
-	// Refine-mode accel solves lease from the refine cache, so their
+	// Refine-mode accel solves lease RefineCluster engines, so their
 	// sharding/cache key must embed the refine cluster configuration —
 	// otherwise a sharded cluster would route them to the owner of the
-	// full-precision engine and program the matrix twice.
+	// full-precision engine and program the matrix twice. The key is
+	// computed once here and reused by the cache lease.
 	ccfg := s.cfg.Cluster
 	if mode == "refine" {
 		ccfg = s.cfg.RefineCluster
@@ -231,7 +232,7 @@ func (s *Server) executeSolve(ctx context.Context, spec *solveSpec, reqID string
 	if spec.backend == "accel" {
 		progSp := parent.StartChild("program")
 		var err error
-		lease, err = s.cache.Acquire(ctx, spec.m)
+		lease, err = s.cache.acquire(ctx, spec.key, spec.m, s.cfg.Cluster)
 		if err != nil {
 			progSp.End()
 			if errors.Is(err, context.DeadlineExceeded) {

@@ -1,15 +1,14 @@
-// Package xbar models the memristive crossbar arrays and their mixed-signal
-// periphery: bit-plane storage, analog column sums observed through
-// sample-and-hold + SAR ADC, computational invert coding (CIC), and ADC
-// headstart (§III-B and §V-B2 of the paper). Planes are functional — they
-// produce exact digital column sums — with an optional device-error model
-// that perturbs the sums the way a real array would.
+// Package xbar models the mixed-signal periphery of the memristive
+// crossbar arrays (§III-B and §V-B2 of the paper): the bit-slice
+// bitmaps in which input vectors are applied to the crossbar rows, and
+// the SAR ADC with its resolution rule, computational invert coding
+// (CIC) bit saving and headstart. The programmed planes themselves live
+// in internal/core, packed for the cluster MVM kernels.
 package xbar
 
-import "math/bits"
-
-// Bitmap is a fixed-length bit vector over crossbar input rows, used both
-// for stored single-bit cell columns and for applied vector bit slices.
+// Bitmap is a fixed-length bit vector over crossbar input rows: one
+// applied vector bit slice. Padding bits past the length are always
+// clear.
 type Bitmap struct {
 	n     int
 	words []uint64
@@ -40,88 +39,6 @@ func (b *Bitmap) Get(i int) bool {
 	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// tailMask returns the valid-bit mask of the last storage word: all ones
-// when the length is a multiple of 64, otherwise only the low n mod 64
-// bits. Set/Invert/Reset never leave padding bits set, but Words exposes
-// the raw storage, so the popcount paths mask defensively rather than
-// trust every caller.
-func (b *Bitmap) tailMask() uint64 {
-	if rem := uint(b.n) & 63; rem != 0 {
-		return 1<<rem - 1
-	}
-	return ^uint64(0)
-}
-
-// PopCount returns the number of set bits.
-func (b *Bitmap) PopCount() int {
-	c := 0
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
-	}
-	if n := len(b.words); n > 0 {
-		c -= bits.OnesCount64(b.words[n-1] &^ b.tailMask())
-	}
-	return c
-}
-
-// AndPopCount returns popcount(b AND x) without materializing the AND.
-func (b *Bitmap) AndPopCount(x *Bitmap) int {
-	if b.n != x.n {
-		panic("xbar: bitmap length mismatch")
-	}
-	c := 0
-	for i, w := range b.words {
-		c += bits.OnesCount64(w & x.words[i])
-	}
-	if n := len(b.words); n > 0 {
-		c -= bits.OnesCount64(b.words[n-1] & x.words[n-1] &^ b.tailMask())
-	}
-	return c
-}
-
-// AndPopCountWords returns popcount(b AND ws), where ws is a raw
-// little-endian word span of the same storage length as b — the fused
-// form the packed cluster kernels use: one pass over word storage with
-// no per-bit Get and no Bitmap wrapper around the second operand.
-func (b *Bitmap) AndPopCountWords(ws []uint64) int {
-	if len(ws) != len(b.words) {
-		panic("xbar: word span length mismatch")
-	}
-	c := 0
-	for i, w := range b.words {
-		c += bits.OnesCount64(w & ws[i])
-	}
-	if n := len(b.words); n > 0 {
-		c -= bits.OnesCount64(b.words[n-1] & ws[n-1] &^ b.tailMask())
-	}
-	return c
-}
-
-// Invert flips every bit (used by computational invert coding).
-func (b *Bitmap) Invert() {
-	for i := range b.words {
-		b.words[i] = ^b.words[i]
-	}
-	// Clear padding bits beyond n.
-	if rem := uint(b.n) & 63; rem != 0 {
-		b.words[len(b.words)-1] &= (1 << rem) - 1
-	}
-}
-
-// Clone returns a deep copy.
-func (b *Bitmap) Clone() *Bitmap {
-	c := &Bitmap{n: b.n, words: make([]uint64, len(b.words))}
-	copy(c.words, b.words)
-	return c
-}
-
-// Clear zeroes all bits.
-func (b *Bitmap) Clear() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
 // Reset resizes the bitmap to n bits and clears it, reusing the word
 // storage whenever capacity allows — the reuse primitive behind the
 // cluster scratch arenas, which re-slice the same bitmaps on every
@@ -142,14 +59,5 @@ func (b *Bitmap) Reset(n int) {
 	b.n = n
 }
 
-// CopyFrom overwrites b with x's length and contents, reusing b's word
-// storage when it is large enough.
-func (b *Bitmap) CopyFrom(x *Bitmap) {
-	b.Reset(x.n)
-	copy(b.words, x.words)
-}
-
 // Words exposes the raw word storage for fused multi-bitmap operations.
 func (b *Bitmap) Words() []uint64 { return b.words }
-
-func onesCount64(w uint64) int { return bits.OnesCount64(w) }
