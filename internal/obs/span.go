@@ -150,6 +150,13 @@ func (s *Span) StartChild(phase string) *Span {
 // StartChildAt starts a child span with an explicit start time — how the
 // job queue charges the wait between submission and dequeue to a span
 // even though no goroutine was watching the clock in between.
+//
+// The child's Start is the parent's Start plus the monotonic time between
+// them. time.Now reads the wall and monotonic clocks separately, so a
+// wall-clock start paired with a monotonic duration can place a child's
+// end a few tens of nanoseconds past its parent's; deriving every start
+// in a tree from its root keeps wall offsets equal to monotonic ones, in
+// memory and after a JSON round trip.
 func (s *Span) StartChildAt(phase string, start time.Time) *Span {
 	if s == nil {
 		return nil
@@ -160,7 +167,7 @@ func (s *Span) StartChildAt(phase string, start time.Time) *Span {
 		ParentID: s.SpanID,
 		Phase:    phase,
 		Node:     s.Node,
-		Start:    start,
+		Start:    s.Start.Add(start.Sub(s.Start)),
 	}
 	s.mu.Lock()
 	s.Children = append(s.Children, c)

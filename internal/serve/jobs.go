@@ -298,54 +298,21 @@ func (s *Server) runQueued(ctx context.Context, item *queuedJob) {
 		return
 	}
 	defer func() { <-s.sem }()
-
-	if len(runnable) == 1 {
-		s.runJob(ctx, runnable[0])
-		return
-	}
-	s.runBatch(ctx, runnable)
+	s.runJobs(ctx, runnable)
 }
 
-// runJob executes a single async solve, bridging the solver monitor into
-// the job's SSE event log.
-func (s *Server) runJob(ctx context.Context, item *queuedJob) {
-	job := item.job
-	if !job.Start() {
-		return
-	}
-	defer s.recoverJob(job)
-	execCtx, cancel := context.WithTimeout(ctx, s.effectiveTimeout(&item.spec.req))
-	defer cancel()
-	bridge := func(iter int, rn float64) {
-		job.Events.Append(jobs.Event{Type: jobs.EventIteration, Iteration: iter, Residual: rn})
-	}
-	resp, err := s.executeSolve(execCtx, item.spec, job.ID, bridge, item.span)
+// finishJob ends the job's root span, attaches it to a result, and maps
+// the execution outcome onto the job state machine.
+func (s *Server) finishJob(item *queuedJob, resp *SolveResponse, err error) {
 	item.span.End()
-	if resp != nil {
-		resp.Span = item.span
-	}
-	s.finishJob(job, resp, err)
-}
-
-// finishJob maps an execution outcome onto the job state machine.
-func (s *Server) finishJob(job *jobs.Job, resp *SolveResponse, err error) {
 	switch {
 	case err == nil:
-		job.Finish(jobs.StateDone, resp, "")
+		resp.Span = item.span
+		item.job.Finish(jobs.StateDone, resp, "")
 	case errors.Is(err, context.DeadlineExceeded):
-		job.Finish(jobs.StateTimeout, nil, err.Error())
+		item.job.Finish(jobs.StateTimeout, nil, err.Error())
 	default:
-		job.Finish(jobs.StateFailed, nil, err.Error())
-	}
-}
-
-// recoverJob converts a panicking solve (a diverging job can hand the
-// crossbar pipeline non-finite vectors, which it rejects by panicking)
-// into a failed job instead of a dead worker.
-func (s *Server) recoverJob(job *jobs.Job) {
-	if p := recover(); p != nil {
-		s.logger.Error("job panic", "job", job.ID, "panic", fmt.Sprint(p))
-		job.Finish(jobs.StateFailed, nil, fmt.Sprintf("internal: %v", p))
+		item.job.Finish(jobs.StateFailed, nil, err.Error())
 	}
 }
 
@@ -369,14 +336,20 @@ func compatible(a, b *solveSpec) bool {
 		a.req.TimeoutMS == b.req.TimeoutMS
 }
 
-// runBatch executes coalesced jobs against one leased engine via the
-// lockstep CGBatch driver: the queue converts concurrent demand for the
-// same matrix into multi-RHS ApplyBatch work instead of serialized
-// solves. Per-iteration events still flow to each job's own SSE stream;
-// the engine's hardware-counter window covers the whole batch and is
+// runJobs executes the jobs of one dequeue under the first one's
+// deadline, feeding each job's solver iterations into its SSE event log.
+// A single job runs through executeSolve. Coalesced jobs run against one
+// leased engine via the lockstep CGBatch driver: the queue converts
+// concurrent demand for the same matrix into multi-RHS ApplyBatch work
+// instead of serialized solves. The batch takes the steps executeSolve
+// does — lease, record, solve, respond — with one lease and one solve
+// for the whole batch, and a recorder, trace and response per job. The
+// engine's hardware-counter window covers the whole batch and is
 // attached to each job's result with the batch size marked, so the
-// attribution is explicit.
-func (s *Server) runBatch(ctx context.Context, batch []*queuedJob) {
+// attribution is explicit. A panicking solve (a diverging job can hand
+// the crossbar pipeline non-finite vectors, which it rejects by
+// panicking) fails its jobs instead of killing the worker.
+func (s *Server) runJobs(ctx context.Context, batch []*queuedJob) {
 	started := batch[:0]
 	for _, it := range batch {
 		if it.job.Start() {
@@ -386,128 +359,84 @@ func (s *Server) runBatch(ctx context.Context, batch []*queuedJob) {
 	if len(started) == 0 {
 		return
 	}
-	first := started[0]
-	spec := first.spec
+	spec := started[0].spec
 	failAll := func(err error) {
 		for _, it := range started {
-			s.finishJob(it.job, nil, err)
+			s.finishJob(it, nil, err)
 		}
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			s.logger.Error("batch panic", "panic", fmt.Sprint(p))
+			s.logger.Error("job panic", "job", started[0].job.ID, "jobs", len(started), "panic", fmt.Sprint(p))
 			failAll(fmt.Errorf("internal: %v", p))
 		}
 	}()
 
 	execCtx, cancel := context.WithTimeout(ctx, s.effectiveTimeout(&spec.req))
 	defer cancel()
+	if len(started) == 1 {
+		it := started[0]
+		resp, err := s.executeSolve(execCtx, spec, it.job.ID, eventBridge(it.job.Events), it.span)
+		s.finishJob(it, resp, err)
+		return
+	}
 
-	progStart := time.Now()
-	lease, err := s.cache.acquire(execCtx, spec.key, spec.m, s.cfg.Cluster)
+	start := time.Now()
+	spans := make([]*obs.Span, len(started))
+	for i, it := range started {
+		spans[i] = it.span
+	}
+	opd, err := s.leaseOperator(execCtx, spec, spans...)
 	if err != nil {
 		failAll(err)
 		return
 	}
-	defer lease.Release()
-	lease.Engine.TakeStats()
-	s.metrics.programSeconds.Observe(time.Since(progStart).Seconds())
-	programMS := msSince(progStart)
-	// One engine acquisition serves the whole batch, but each job's trace
-	// gets its own program span over the shared interval — every tree is
-	// self-contained.
-	for _, it := range started {
-		progSp := it.span.StartChildAt("program", progStart)
-		progSp.SetAttr("cache_hit", fmt.Sprint(lease.Hit))
-		progSp.End()
-	}
+	defer opd.lease.Release()
 
-	opt := solver.Options{Tol: spec.req.Tol, MaxIter: spec.req.MaxIter, Ctx: execCtx}
-	if opt.Tol == 0 {
-		opt.Tol = 1e-8
-	}
-	if spec.req.Jacobi {
-		opt.Diag = spec.m.Diagonal()
-	}
+	runs := make([]*solveRun, len(started))
 	bs := make([][]float64, len(started))
 	monitors := make([]solver.Monitor, len(started))
 	for i, it := range started {
+		runs[i] = record(it.spec, it.job.ID, it.span, start, opd, nil)
 		bs[i] = it.spec.b
-		log := it.job.Events
-		monitors[i] = func(iter int, rn float64) {
-			log.Append(jobs.Event{Type: jobs.EventIteration, Iteration: iter, Residual: rn})
-		}
+		monitors[i] = solver.Tee(runs[i].rec.Observe, eventBridge(it.job.Events))
 	}
-
-	solveStart := time.Now()
-	solveSps := make([]*obs.Span, len(started))
-	for i, it := range started {
-		solveSps[i] = it.span.StartChildAt("solve", solveStart)
-		solveSps[i].SetAttr("method", spec.method)
-	}
-	results, err := solver.CGBatch(lease.Engine, bs, opt, monitors)
-	solveSecs := time.Since(solveStart).Seconds()
+	results, err := solver.CGBatch(opd.lease.Engine, bs, solveOptions(execCtx, spec), monitors)
 	s.metrics.batches.Inc()
 	s.metrics.batchedJobs.Add(int64(len(started)))
 	s.metrics.batchSize.Observe(float64(len(started)))
 
-	st := lease.Engine.TakeStats()
-	timedOut := err != nil && errors.Is(err, context.DeadlineExceeded)
-	if timedOut {
-		s.metrics.timeouts.Add(int64(len(started)))
-	}
-	if rs := lease.Engine.TakeRefreshStats(); rs.Refreshes > 0 {
-		s.metrics.noteRefresh(rs)
-	}
+	st, rs := s.takeWindow(opd.lease, spans...)
 	for i, it := range started {
-		res := results[i]
-		s.metrics.solveSeconds.ObserveExemplar(solveSecs, it.span.Context().TraceID)
-		s.metrics.solves.Inc()
-		// The engine's hardware window covers the whole lockstep batch;
-		// each job's solve span carries it with batch_size marked, the
-		// same explicit attribution the response makes.
-		solveSps[i].End()
-		solveSps[i].SetHW(st.HWCounters())
-		solveSps[i].SetAttr("batch_size", fmt.Sprint(len(started)))
-		it.span.End()
+		var res *solver.Result
+		if results != nil {
+			res = results[i]
+		}
 		// Lockstep systems share the context: on cancellation, systems
 		// that already converged still report their result.
-		if err != nil && (res == nil || !res.Converged) {
-			s.finishJob(it.job, nil, err)
-			continue
+		jobErr := err
+		if res != nil && res.Converged {
+			jobErr = nil
 		}
-		s.metrics.iterations.Observe(float64(res.Iterations))
-		resp := s.buildBatchResponse(it.spec, res, lease, len(started))
-		resp.Timings = Timings{
-			Parse:   it.spec.parseMS,
-			Program: programMS,
-			Solve:   solveSecs * 1e3,
-			Total:   it.spec.parseMS + programMS + solveSecs*1e3,
+		// Each job's solve span carries the whole batch's hardware
+		// window with batch_size marked, the same explicit attribution
+		// the response makes.
+		runs[i].span.SetHW(st.HWCounters())
+		runs[i].span.SetAttr("batch_size", fmt.Sprint(len(started)))
+		resp, jobErr := s.respond(runs[i], res, 0, jobErr)
+		if resp != nil {
+			resp.Hardware, resp.Refresh, resp.BatchSize = &st, rs, len(started)
 		}
-		resp.Hardware = &st
-		resp.Span = it.span
-		it.job.Finish(jobs.StateDone, resp, "")
+		s.finishJob(it, resp, jobErr)
 	}
 	s.logger.Info("batch solve",
 		"jobs", len(started), "key", spec.key, "rows", spec.m.Rows(),
-		"cache_hit", lease.Hit, "solve_ms", solveSecs*1e3, "timed_out", timedOut)
+		"cache_hit", opd.lease.Hit, "solve_ms", msSince(runs[0].solveStart), "err", err)
 }
 
-// buildBatchResponse assembles a batched job's result. The hardware
-// window is per batch (set by the caller); BatchSize flags that.
-func (s *Server) buildBatchResponse(spec *solveSpec, res *solver.Result, lease *Lease, size int) *SolveResponse {
-	return &SolveResponse{
-		X:          res.X,
-		Iterations: res.Iterations,
-		Converged:  res.Converged,
-		Residual:   res.Residual,
-		Breakdown:  res.Breakdown,
-		Method:     spec.method,
-		Backend:    spec.backend,
-		Rows:       spec.m.Rows(),
-		NNZ:        spec.m.NNZ(),
-		Cache:      &CacheInfo{Hit: lease.Hit, Key: lease.Key},
-		Node:       s.cfg.NodeID,
-		BatchSize:  size,
+// eventBridge feeds solver iterations into a job's SSE event log.
+func eventBridge(log *jobs.EventLog) solver.Monitor {
+	return func(iter int, rn float64) {
+		log.Append(jobs.Event{Type: jobs.EventIteration, Iteration: iter, Residual: rn})
 	}
 }

@@ -536,13 +536,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	resp, err := s.executeSolve(ctx, spec, reqID, nil, root)
 	if err != nil {
-		// Cache-acquisition failures kept their historical 422 fallback;
-		// solver failures map to 400, context errors to 504/503.
-		if errors.Is(err, errAcquire) {
-			s.failCtx(w, err, http.StatusUnprocessableEntity)
-			return
+		// Cache-acquisition failures keep their historical 422 fallback
+		// and a non-finite result is a 500; other solver failures map to
+		// 400, context errors to 504/503.
+		code := http.StatusBadRequest
+		switch {
+		case errors.Is(err, errAcquire):
+			code = http.StatusUnprocessableEntity
+		case errors.Is(err, errNonFinite):
+			code = http.StatusInternalServerError
 		}
-		s.failCtx(w, err, http.StatusBadRequest)
+		s.failCtx(w, err, code)
 		return
 	}
 	resp.Timings.Total = msSince(start)

@@ -74,37 +74,35 @@ func (s *Server) relayToOwner(w http.ResponseWriter, r *http.Request, spec *solv
 	w.Header().Set(cluster.NodeHeader, owner.ID)
 
 	if root != nil && path == "/solve" && resp.StatusCode == http.StatusOK {
-		if s.relaySolveWithGraft(w, resp, root, fwdSp) {
-			s.logForwarded(r, path, owner, resp.StatusCode, spec.key)
-			return true
-		}
+		s.relaySolveWithGraft(w, resp, root, fwdSp, maxRelayDecodeBytes)
+	} else {
+		w.WriteHeader(resp.StatusCode)
+		_, _ = io.Copy(w, resp.Body)
 	}
-
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
 	s.logForwarded(r, path, owner, resp.StatusCode, spec.key)
 	return true
 }
 
 // relaySolveWithGraft decodes the owner's solve response, grafts its span
 // tree under the entry node's forward span, and writes the merged
-// response. A body that cannot be read or decoded is relayed as-is: the
-// client still gets the owner's answer, just without the entry node's
-// spans.
-func (s *Server) relaySolveWithGraft(w http.ResponseWriter, resp *http.Response, root, fwdSp *obs.Span) bool {
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayDecodeBytes))
+// response. A body larger than limit, or one that cannot be read or
+// decoded, is relayed as-is — the bytes already read, then the rest: the
+// client still gets the owner's whole answer, just without the entry
+// node's spans.
+func (s *Server) relaySolveWithGraft(w http.ResponseWriter, resp *http.Response, root, fwdSp *obs.Span, limit int64) {
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	var sr SolveResponse
-	if err != nil || json.Unmarshal(body, &sr) != nil {
+	if err != nil || int64(len(body)) > limit || json.Unmarshal(body, &sr) != nil {
 		w.WriteHeader(resp.StatusCode)
 		_, _ = w.Write(body)
-		return true
+		_, _ = io.Copy(w, resp.Body)
+		return
 	}
 	fwdSp.Graft(sr.Span)
 	fwdSp.End()
 	root.End()
 	sr.Span = root
 	s.writeJSON(w, resp.StatusCode, &sr)
-	return true
 }
 
 func (s *Server) logForwarded(r *http.Request, path string, owner cluster.Peer, status int, key string) {

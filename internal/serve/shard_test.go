@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"memsci/internal/cluster"
 	"memsci/internal/core"
 	"memsci/internal/jobs"
+	"memsci/internal/obs"
 	"memsci/internal/sparse"
 )
 
@@ -189,5 +191,34 @@ func TestShardingSingleNodeIsLocal(t *testing.T) {
 	}
 	if sr := decodeSolve(t, raw); sr.Node != "solo" {
 		t.Errorf("node %q want solo", sr.Node)
+	}
+}
+
+// TestRelayOversizedSolveResponse: a forwarded solve response past the
+// decode limit is relayed whole and verbatim, not cut at the limit; one
+// within the limit is decoded and gets the entry node's spans grafted.
+func TestRelayOversizedSolveResponse(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	body := `{"x":[` + strings.Repeat("1.5,", 300) + `2],"iterations":3,"converged":true}`
+	relay := func(limit int64) *httptest.ResponseRecorder {
+		resp := &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(strings.NewReader(body))}
+		root := obs.NewSpan("a", "request")
+		w := httptest.NewRecorder()
+		s.relaySolveWithGraft(w, resp, root, root.StartChild("forward"), limit)
+		if w.Code != http.StatusOK {
+			t.Fatalf("limit %d: status %d", limit, w.Code)
+		}
+		return w
+	}
+
+	for _, limit := range []int64{64, int64(len(body)) - 1} {
+		if got := relay(limit).Body.String(); got != body {
+			t.Errorf("limit %d: oversized body relayed as %d bytes, want the %d-byte original", limit, len(got), len(body))
+		}
+	}
+	sr := decodeSolve(t, relay(int64(len(body))).Body.Bytes())
+	if len(sr.X) != 301 || sr.Iterations != 3 || sr.Span == nil || sr.Span.Find("forward") == nil {
+		t.Errorf("body within the limit not decoded and grafted: %d entries, span %+v", len(sr.X), sr.Span)
 	}
 }
